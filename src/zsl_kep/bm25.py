@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import DocRef, KnowledgeStore, iter_docs
-from .errors import OutOfRange
 
 # alphanumeric runs only; underscore is a separator so citation ids split cleanly
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -75,44 +74,6 @@ def build_index(store: KnowledgeStore, params: "Bm25Params | None" = None) -> Bm
     return Bm25Index(doc_refs, doc_lengths, avg, doc_frequencies, postings, n_docs, params)
 
 
-def _idf(index: Bm25Index, term: str) -> float:
-    df = index.doc_frequencies.get(term, 0)
-    return math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
-
-
-def _unique(tokens: list[str]) -> list[str]:
-    seen = set()
-    out = []
-    for t in tokens:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-def score(index: Bm25Index, query_tokens: list[str], ordinal: int) -> float:
-    """Score one indexed passage against pre-tokenized query terms."""
-    if not 0 <= ordinal < index.n_docs:
-        raise OutOfRange(f"ordinal {ordinal} outside index of {index.n_docs} docs")
-    k1, b = index.params.k1, index.params.b
-    length = index.doc_lengths[ordinal]
-    total = 0.0
-    for term in _unique(query_tokens):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf = 0
-        for doc, freq in plist:
-            if doc == ordinal:
-                tf = freq
-                break
-        if tf == 0:
-            continue
-        norm = k1 * (1.0 - b + b * length / index.avg_doc_length)
-        total += _idf(index, term) * tf * (k1 + 1.0) / (tf + norm)
-    return total
-
-
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     """Top-k positive-score passages, score descending, ties by ascending
     (url_index, text_index)."""
@@ -120,11 +81,12 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
         return []
     k1, b = index.params.k1, index.params.b
     scores: dict[int, float] = {}
-    for term in _unique(tokenize(query)):
+    for term in dict.fromkeys(tokenize(query)):
         plist = index.postings.get(term)
         if not plist:
             continue
-        idf = _idf(index, term)
+        df = index.doc_frequencies[term]
+        idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
         for ordinal, tf in plist:
             norm = k1 * (1.0 - b + b * index.doc_lengths[ordinal] / index.avg_doc_length)
             scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bm25 import Bm25Params, build_index, score as bm25_score, tokenize
+from .bm25 import Bm25Params, build_index, retrieve
 from .config import RunConfig
 from .corpus import load_claims, load_predictions, load_store, write_predictions
 from .errors import ConfigError, MalformedInput, MissingGold
@@ -145,17 +145,15 @@ def cmd_inspect(args) -> int:
             print(f"  C{i}. {kp}")
 
     groups = run_retrieval(index, store, keypoints, record.text, cfg)
-    ordinal_of = {ref: o for o, ref in enumerate(index.doc_refs)}
     print(f"groups: {len(groups)}")
     for pos, group in enumerate(groups, start=1):
         cap = cfg.claim_top_k if group.kind == "claim" else cfg.keypoint_top_k
         print(f"group {pos}/{len(groups)} kind={group.kind} cap={cap} "
               f"docs={len(group.docs)} query={group.query!r}")
-        query_tokens = tokenize(group.query)
+        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, cap)}
         for ref, text in group.docs:
-            doc_score = bm25_score(index, query_tokens, ordinal_of[ref])
             snippet = text if len(text) <= 80 else text[:77] + "..."
-            print(f"  {doc_score:.6f} <{ref.serialize()}> {snippet}")
+            print(f"  {score_of[ref]:.6f} <{ref.serialize()}> {snippet}")
 
     print("unified retrieval string:")
     print(build_unified_string(groups))

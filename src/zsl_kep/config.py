@@ -50,23 +50,14 @@ class RunConfig:
         if not isinstance(data, dict):
             raise MalformedInput(f"{path}: config must be a JSON object")
 
-        defaults = cls()
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         for key, value in data.items():
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown config field {key!r} in {path}")
-            expected = getattr(defaults, key)
-            if isinstance(expected, bool) is not isinstance(value, bool):
-                raise ConfigError(f"config field {key!r} has the wrong type")
-            if isinstance(expected, float) and not isinstance(value, (int, float)):
-                raise ConfigError(f"config field {key!r} must be a number")
-            if isinstance(expected, int) and not isinstance(expected, bool) \
-                    and not isinstance(expected, float) and not isinstance(value, int):
-                raise ConfigError(f"config field {key!r} must be an integer")
-            if isinstance(expected, str) and not isinstance(value, str):
-                raise ConfigError(f"config field {key!r} must be a string")
-            if isinstance(expected, dict) and not isinstance(value, dict):
-                raise ConfigError(f"config field {key!r} must be an object")
+            expected = types[key]
+            accepted = (int, float) if expected is float else expected
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"config field {key!r} must be {expected.__name__}")
         cfg = cls(**data)
 
         base = os.path.dirname(os.path.abspath(path))

@@ -21,55 +21,42 @@ def _squash(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "", text.lower())
 
 
-class VerdictLabel(Enum):
+class _Label(Enum):
+    """Enum of fixed label strings, read strictly from files and leniently
+    from LLM replies."""
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def from_string(cls, raw: str):
+        try:
+            return cls(raw)
+        except ValueError:
+            raise MalformedInput(f"unknown {cls.__name__} {raw!r}") from None
+
+    @classmethod
+    def parse_lenient(cls, raw: str):
+        """Case-insensitive match with punctuation stripped; None if no match."""
+        squashed = _squash(raw)
+        for member in cls:
+            if squashed == _squash(member.value):
+                return member
+        return None
+
+
+class VerdictLabel(_Label):
     SUPPORTED = "Supported"
     REFUTED = "Refuted"
     NOT_ENOUGH_EVIDENCE = "Not Enough Evidence"
     CONFLICTING = "Conflicting Evidence/Cherry-Picking"
 
-    def __str__(self) -> str:
-        return self.value
 
-    @classmethod
-    def from_string(cls, raw: str) -> "VerdictLabel":
-        for label in cls:
-            if label.value == raw:
-                return label
-        raise MalformedInput(f"unknown verdict label {raw!r}")
-
-    @classmethod
-    def parse_lenient(cls, raw: str) -> "VerdictLabel | None":
-        """Case-insensitive match with punctuation stripped; None if no match."""
-        squashed = _squash(raw)
-        for label in cls:
-            if squashed == _squash(label.value):
-                return label
-        return None
-
-
-class AnswerType(Enum):
+class AnswerType(_Label):
     EXTRACTIVE = "Extractive"
     ABSTRACTIVE = "Abstractive"
     BOOLEAN = "Boolean"
     UNANSWERABLE = "Unanswerable"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_string(cls, raw: str) -> "AnswerType":
-        for at in cls:
-            if at.value == raw:
-                return at
-        raise MalformedInput(f"unknown answer type {raw!r}")
-
-    @classmethod
-    def parse_lenient(cls, raw: str) -> "AnswerType | None":
-        squashed = _squash(raw)
-        for at in cls:
-            if squashed == _squash(at.value):
-                return at
-        return None
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ class UnknownDocRef(LookupError):
     """A document reference does not exist in the knowledge store."""
 
 
-class OutOfRange(IndexError):
-    """Document ordinal outside the index."""
-
-
 class ParseFailure(ValueError):
     """An LLM response did not contain the expected structure."""
 

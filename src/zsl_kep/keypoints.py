@@ -69,10 +69,9 @@ class KeyPointSet:
         return [*self.primitives, *self.combined, claim]
 
 
-def build_keypoint_prompt(claim: str, library: "PromptLibrary | None" = None) -> tuple[str, str]:
+def build_keypoint_prompt(claim: str, library: PromptLibrary) -> tuple[str, str]:
     if not claim or not claim.strip():
         raise ValueError("claim must be non-empty")
-    library = library or PromptLibrary.load()
     return library.keypoint_system, fill_placeholders(library.keypoint_user, {"<claim>": claim})
 
 
@@ -107,7 +106,7 @@ def parse_keypoints(response: str) -> KeyPointSet:
 
 
 def make_keypoints(gateway, claim: str, *, claim_id: "int | None" = None,
-                   library: "PromptLibrary | None" = None, temperature: float = 0.0,
+                   library: PromptLibrary, temperature: float = 0.0,
                    top_p: float = 0.8, max_new_tokens: int = 512) -> tuple[KeyPointSet, int]:
     """Build, send and parse the key point prompt.
 
@@ -115,7 +114,6 @@ def make_keypoints(gateway, claim: str, *, claim_id: "int | None" = None,
     parse failure yields the empty set, which downstream means retrieval runs
     on the claim alone.
     """
-    library = library or PromptLibrary.load()
     system, user = build_keypoint_prompt(claim, library)
     request = ChatRequest(system_message=system, user_message=user,
                           temperature=temperature, top_p=top_p,

@@ -7,14 +7,15 @@ recovering from those (by shrinking the prompt) is the pipeline's job, and the
 two failure kinds must stay distinguishable for that to work.
 """
 
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections import defaultdict
 from dataclasses import dataclass
-
-import requests
 
 from .errors import MalformedInput
 
@@ -156,12 +157,12 @@ class HttpBackend:
     """POSTs to ``{base_url}/chat/completions`` in the OpenAI chat format."""
 
     def __init__(self, base_url: str, model_name: str, api_key: "str | None" = None,
-                 timeout: float = 120.0, transport=None):
+                 timeout: float = 120.0, transport=urllib.request.urlopen):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
-        self._post = transport or requests.post
+        self._urlopen = transport
 
     def send(self, request: ChatRequest, claim_id: "int | None" = None) -> ChatResponse:
         payload = {
@@ -178,22 +179,29 @@ class HttpBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = self._post(f"{self.base_url}/chat/completions", json=payload,
-                              headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            http_request = urllib.request.Request(  # ValueError on a malformed base_url
+                f"{self.base_url}/chat/completions", data=json.dumps(payload).encode("utf-8"),
+                headers=headers, method="POST")
+            try:
+                resp = self._urlopen(http_request, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # an error reply still carries its status and body
+            with resp:
+                status, body = resp.status, resp.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportFailure(str(exc)) from exc
 
-        if resp.status_code != 200:
-            body = resp.text or ""
+        if status != 200:
+            body = body.decode("utf-8", errors="replace")
             lowered = body.lower()
-            if resp.status_code == 413 or any(mark in lowered for mark in _OVERFLOW_MARKERS):
-                raise ContextOverflow(f"HTTP {resp.status_code}: {body[:300]}")
-            if resp.status_code == 429:
+            if status == 413 or any(mark in lowered for mark in _OVERFLOW_MARKERS):
+                raise ContextOverflow(f"HTTP {status}: {body[:300]}")
+            if status == 429:
                 raise RateLimited(f"HTTP 429: {body[:300]}")
-            raise TransportFailure(f"HTTP {resp.status_code}: {body[:300]}")
+            raise TransportFailure(f"HTTP {status}: {body[:300]}")
 
         try:
-            data = resp.json()
+            data = json.loads(body)
             choice = data["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -212,28 +220,15 @@ class Gateway:
     """
 
     def __init__(self, backend, max_attempts: int = 5, backoff_base: float = 0.5,
-                 prompt_budget: "int | None" = 8000, min_interval: float = 0.0,
-                 sleep=time.sleep):
+                 prompt_budget: "int | None" = 8000, sleep=time.sleep):
         self.backend = backend
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.prompt_budget = prompt_budget
-        self.min_interval = min_interval
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._next_slot = 0.0
         self.overflow_count = 0
         self.rate_limit_count = 0
-
-    def _space_call(self):
-        if self.min_interval <= 0:
-            return
-        with self._lock:
-            now = time.monotonic()
-            start = max(now, self._next_slot)
-            self._next_slot = start + self.min_interval
-        if start > now:
-            self._sleep(start - now)
 
     def complete(self, request: ChatRequest, claim_id: "int | None" = None) -> ChatResponse:
         if self.prompt_budget:
@@ -247,7 +242,6 @@ class Gateway:
 
         failures = 0
         while True:
-            self._space_call()
             try:
                 return self.backend.send(request, claim_id)
             except RateLimited:

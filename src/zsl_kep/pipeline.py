@@ -71,10 +71,9 @@ def build_unified_string(groups: list[RetrievalGroup]) -> str:
 
 
 def build_prediction_prompt(claim: str, unified: str,
-                            library: "PromptLibrary | None" = None) -> tuple[str, str]:
+                            library: PromptLibrary) -> tuple[str, str]:
     """Prediction prompt carries the claim and the retrieval string only;
     key points are deliberately kept out of it."""
-    library = library or PromptLibrary.load()
     user = fill_placeholders(library.prediction_user,
                              {"<claim>": claim, "<retrieval>": unified})
     return library.prediction_system, user
@@ -215,13 +214,12 @@ def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
 def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
                        store: KnowledgeStore, cfg, *, claim_id: int = 0,
                        diagnostics: "Diagnostics | None" = None,
-                       library: "PromptLibrary | None" = None) -> VerdictReport:
+                       library: PromptLibrary) -> VerdictReport:
     """Send the prediction prompt, shrinking the document set on context
     overflow: first to the configured truncation caps, then by halving them
     (floor one document per group) until the prompt fits or nothing is left
     to cut."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    library = library or PromptLibrary.load()
 
     caps: "tuple[int, int] | None" = None
     current = groups
@@ -257,9 +255,8 @@ def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
 
 
 def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
-              library: "PromptLibrary | None" = None) -> VerdictReport:
+              library: PromptLibrary) -> VerdictReport:
     """Full pipeline for one claim: index, key points, retrieval, prediction."""
-    library = library or PromptLibrary.load(getattr(cfg, "prompt_overrides", None))
     diagnostics = Diagnostics()
 
     index = build_index(store, Bm25Params(k1=cfg.k1, b=cfg.b))
@@ -288,7 +285,7 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
     When a ``completed`` list is given, every finished report is appended to
     it as it arrives, so an interrupted run can still flush what it has.
     """
-    library = PromptLibrary.load(getattr(cfg, "prompt_overrides", None))
+    library = PromptLibrary.load(cfg.prompt_overrides)
 
     def work(record: ClaimRecord) -> VerdictReport:
         store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)

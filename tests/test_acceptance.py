@@ -15,7 +15,7 @@ from zsl_kep.bm25 import build_index, retrieve
 from zsl_kep.cli import main
 from zsl_kep.config import RunConfig
 from zsl_kep.corpus import DocRef, VerdictLabel, load_store
-from zsl_kep.keypoints import KeyPointSet
+from zsl_kep.keypoints import KeyPointSet, PromptLibrary
 from zsl_kep.llm_gateway import Gateway, MockBackend
 from zsl_kep.pipeline import GROUP_SEPARATOR, predict_with_retry, run_retrieval
 from zsl_kep.scoring import hungarian_max, meteor
@@ -160,7 +160,7 @@ def test_criterion_5_truncation_protocol():
                 "JUSTIFICATION: j\n\nVERDICT: Supported")
     backend = MockBackend({0: [{"error": "context_overflow"}, response]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, cfg,
-                                claim_id=0)
+                                claim_id=0, library=PromptLibrary.load())
 
     calls = backend.calls_for(0)
     ok = len(calls) == 2 and report.diagnostics.truncated

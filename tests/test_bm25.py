@@ -4,9 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsl_kep.bm25 import Bm25Params, build_index, retrieve, score, tokenize
+from zsl_kep.bm25 import Bm25Params, build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
-from zsl_kep.errors import OutOfRange
 
 from helpers import make_store, naive_bm25_scores
 
@@ -42,27 +41,29 @@ def test_doc_frequencies_by_hand():
     assert index.doc_frequencies == {"a": 1, "b": 2, "c": 1}
 
 
+def _scores(index, query):
+    """Every passage's BM25 score for ``query``; passages retrieve leaves out
+    scored zero."""
+    return {d.ref: d.score for d in retrieve(index, query, index.n_docs)}
+
+
 def test_score_hand_evaluated():
     index = build_index(make_store([["a b", "b c"]]))
-    assert score(index, ["a"], 0) == pytest.approx(math.log(2), abs=1e-12)
-    assert score(index, ["b"], 0) == pytest.approx(math.log(1.2), abs=1e-12)
-    assert score(index, ["b"], 1) == pytest.approx(math.log(1.2), abs=1e-12)
+    [hit] = retrieve(index, "a", 10)
+    assert hit.ref == DocRef(0, 0)
+    assert hit.score == pytest.approx(math.log(2), abs=1e-12)
+    b_scores = _scores(index, "b")
+    assert b_scores[DocRef(0, 0)] == pytest.approx(math.log(1.2), abs=1e-12)
+    assert b_scores[DocRef(0, 1)] == pytest.approx(math.log(1.2), abs=1e-12)
 
 
 def test_score_absent_terms_contribute_zero():
     index = build_index(make_store([["a b", "b c"]]))
-    assert score(index, ["zz"], 0) == 0.0
-    assert score(index, ["zz", "qq"], 1) == 0.0
+    assert _scores(index, "zz") == {}
+    assert _scores(index, "zz qq") == {}
+    assert _scores(index, "a zz qq") == _scores(index, "a")
     # repeated query terms count once
-    assert score(index, ["a", "a"], 0) == score(index, ["a"], 0)
-
-
-def test_score_out_of_range():
-    index = build_index(make_store([["a"]]))
-    with pytest.raises(OutOfRange):
-        score(index, ["a"], 1)
-    with pytest.raises(OutOfRange):
-        score(index, ["a"], -1)
+    assert _scores(index, "a a") == _scores(index, "a")
 
 
 def test_retrieve_top_k_zero_and_no_match():
@@ -119,7 +120,9 @@ def test_idf_positive_for_all_indexed_terms():
     # "the" appears in every doc; idf must still be positive
     store = make_store([["the a", "the b", "the c", "the d"]])
     index = build_index(store)
-    assert score(index, ["the"], 0) > 0
+    scores = _scores(index, "the")
+    assert len(scores) == 4
+    assert all(s > 0 for s in scores.values())
 
 
 def test_unrelated_doc_does_not_change_match_set():
@@ -140,7 +143,7 @@ def test_postings_score_equals_naive_recount(passages, query):
     index = build_index(store)
     oracle = naive_bm25_scores([p for p in passages if p], query)
     kept = [i for i, p in enumerate(passages) if p]
-    for ordinal in range(index.n_docs):
-        assert score(index, tokenize(query), ordinal) == pytest.approx(
-            oracle[ordinal], abs=1e-9)
+    scores = _scores(index, query)
+    for ordinal, i in enumerate(kept):
+        assert scores.get(DocRef(0, i), 0.0) == pytest.approx(oracle[ordinal], abs=1e-9)
     assert index.n_docs == len(kept)

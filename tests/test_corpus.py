@@ -182,3 +182,15 @@ def test_predictions_round_trip(tmp_path):
     assert loaded[0].evidence[0].answer_type is AnswerType.BOOLEAN
     assert loaded[1].justification == "because"
     assert loaded[0].evidence[0].scraped_text == "text"
+
+
+@pytest.mark.parametrize("label, answer_type", [
+    ("Probably True", "Boolean"),
+    ("Supported", "Guesswork"),
+])
+def test_load_predictions_unknown_enum_rejected(tmp_path, label, answer_type):
+    row = {"claim_id": 0, "claim": "c", "pred_label": label, "justification": "",
+           "evidence": [{"question": "q?", "answer": "a", "answer_type": answer_type,
+                         "url": "https://u", "scraped_text": "t", "citation_id": "0_0"}]}
+    with pytest.raises(MalformedInput):
+        load_predictions(_write(tmp_path / "pred.json", [row]))

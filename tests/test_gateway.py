@@ -1,4 +1,9 @@
+import http.server
+import io
 import json
+import socket
+import threading
+import urllib.error
 
 import pytest
 
@@ -101,16 +106,16 @@ def test_prompt_budget_preempts_call():
     assert gateway.complete(_req(user="short"), 0).text == "never sent"
 
 
-class _StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text if text else (json.dumps(payload) if payload else "")
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def _stub(status, payload=None, text=""):
+    """What ``urlopen`` does for a reply: return a readable response for 200,
+    raise ``HTTPError`` carrying the body otherwise."""
+    body = (text if text else (json.dumps(payload) if payload else "")).encode("utf-8")
+    if status != 200:
+        raise urllib.error.HTTPError("https://api.example/v1/chat/completions", status,
+                                     "error", {}, io.BytesIO(body))
+    resp = io.BytesIO(body)
+    resp.status = status
+    return resp
 
 
 def _http(transport, api_key="k"):
@@ -121,55 +126,60 @@ def _http(transport, api_key="k"):
 def test_http_success_and_payload_shape():
     captured = {}
 
-    def transport(url, json=None, headers=None, timeout=None):
-        captured["url"] = url
-        captured["payload"] = json
-        captured["headers"] = headers
-        return _StubResponse(200, {"choices": [{"message": {"content": "hi"},
-                                                "finish_reason": "stop"}]})
+    def transport(request, timeout=None):
+        captured["url"] = request.full_url
+        captured["method"] = request.get_method()
+        captured["payload"] = json.loads(request.data)
+        captured["auth"] = request.get_header("Authorization")
+        return _stub(200, {"choices": [{"message": {"content": "hi"},
+                                        "finish_reason": "stop"}]})
 
     resp = _http(transport).send(_req(max_new_tokens=1024))
     assert resp == ChatResponse("hi", "stop")
     assert captured["url"] == "https://api.example/v1/chat/completions"
+    assert captured["method"] == "POST"
     assert captured["payload"]["model"] == "test-model"
     assert captured["payload"]["temperature"] == 0.0
     assert captured["payload"]["top_p"] == 0.8
     assert captured["payload"]["max_tokens"] == 1024
     roles = [m["role"] for m in captured["payload"]["messages"]]
     assert roles == ["system", "user"]
-    assert captured["headers"]["Authorization"] == "Bearer k"
+    assert captured["auth"] == "Bearer k"
 
 
 def test_http_api_key_from_env(monkeypatch):
     monkeypatch.setenv("ZSLKEP_API_KEY", "env-secret")
     captured = {}
 
-    def transport(url, json=None, headers=None, timeout=None):
-        captured["headers"] = headers
-        return _StubResponse(200, {"choices": [{"message": {"content": "x"}}]})
+    def transport(request, timeout=None):
+        captured["auth"] = request.get_header("Authorization")
+        return _stub(200, {"choices": [{"message": {"content": "x"}}]})
 
     HttpBackend("https://api.example", "m", transport=transport).send(_req())
-    assert captured["headers"]["Authorization"] == "Bearer env-secret"
+    assert captured["auth"] == "Bearer env-secret"
 
 
 def test_http_error_mapping():
-    def quota(url, **kw):
-        return _StubResponse(429, text="Rate limit reached for requests, try again soon")
+    def quota(request, **kw):
+        return _stub(429, text="Rate limit reached for requests, try again soon")
 
-    def too_long(url, **kw):
-        return _StubResponse(429, text="Request too large: reduce your message size")
+    def too_long(request, **kw):
+        return _stub(429, text="Request too large: reduce your message size")
 
-    def bad_request(url, **kw):
-        return _StubResponse(400, text="This model's maximum context length is 8192 tokens")
+    def bad_request(request, **kw):
+        return _stub(400, text="This model's maximum context length is 8192 tokens")
 
-    def entity(url, **kw):
-        return _StubResponse(413, text="payload too big")
+    def entity(request, **kw):
+        return _stub(413, text="payload too big")
 
-    def server(url, **kw):
-        return _StubResponse(500, text="boom")
+    def server(request, **kw):
+        return _stub(500, text="boom")
 
-    def junk(url, **kw):
-        return _StubResponse(200, payload=None, text="<html>")
+    def junk(request, **kw):
+        return _stub(200, payload=None, text="<html>")
+
+    def refused(request, **kw):
+        raise urllib.error.URLError(ConnectionRefusedError(111, "Connection refused"))
 
     with pytest.raises(RateLimited):
         _http(quota).send(_req())
@@ -183,20 +193,96 @@ def test_http_error_mapping():
         _http(server).send(_req())
     with pytest.raises(MalformedReply):
         _http(junk).send(_req())
+    with pytest.raises(TransportFailure):
+        _http(refused).send(_req())
 
 
 def test_http_length_finish_reason():
-    def transport(url, **kw):
-        return _StubResponse(200, {"choices": [{"message": {"content": "cut"},
-                                                "finish_reason": "length"}]})
+    def transport(request, **kw):
+        return _stub(200, {"choices": [{"message": {"content": "cut"},
+                                        "finish_reason": "length"}]})
 
     assert _http(transport).send(_req()).finish_reason == "length"
 
 
-def test_gateway_spaces_calls():
-    backend = MockBackend({0: ["a", "b"]})
-    sleeps = []
-    gateway = Gateway(backend, min_interval=0.25, sleep=sleeps.append)
-    gateway.complete(_req(), 0)
-    gateway.complete(_req(), 0)
-    assert len(sleeps) == 1 and sleeps[0] > 0
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with the status and body queued on the server,
+    and records what it was sent."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.received.append((self.path, dict(self.headers),
+                                     json.loads(self.rfile.read(length))))
+        status, body = self.server.replies.pop(0)
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # talk to 127.0.0.1 directly, whatever proxy is set
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.received, server.replies = [], []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _local_backend(server):
+    host, port = server.server_address
+    return HttpBackend(f"http://{host}:{port}/v1", "local-model", api_key="secret",
+                       timeout=5)
+
+
+def test_http_urlopen_against_local_server(chat_server):
+    reply = {"choices": [{"message": {"content": "served"}, "finish_reason": "stop"}]}
+    chat_server.replies = [(200, json.dumps(reply)),
+                           (429, "Rate limit reached, try again soon"),
+                           (413, "too big"),
+                           (500, "internal error")]
+    backend = _local_backend(chat_server)
+
+    assert backend.send(_req(user="hello there", max_new_tokens=64)) == \
+        ChatResponse("served", "stop")
+    path, headers, payload = chat_server.received[0]
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer secret"
+    assert payload["model"] == "local-model"
+    assert payload["max_tokens"] == 64
+    assert payload["messages"] == [{"role": "system", "content": "sys"},
+                                   {"role": "user", "content": "hello there"}]
+
+    with pytest.raises(RateLimited):
+        backend.send(_req())
+    with pytest.raises(ContextOverflow):
+        backend.send(_req())
+    with pytest.raises(TransportFailure, match="HTTP 500"):
+        backend.send(_req())
+    assert len(chat_server.received) == 4
+
+
+def test_http_urlopen_closed_port(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # nothing listens on the port now
+    backend = HttpBackend(f"http://127.0.0.1:{port}/v1", "m", api_key="", timeout=5)
+    with pytest.raises(TransportFailure):
+        backend.send(_req())
+
+
+def test_http_malformed_base_url():
+    with pytest.raises(TransportFailure):
+        HttpBackend("api.example/v1", "m", api_key="").send(_req())

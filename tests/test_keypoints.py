@@ -5,9 +5,11 @@ from zsl_kep.keypoints import (KeyPointSet, PromptLibrary, build_keypoint_prompt
                                make_keypoints, parse_keypoints)
 from zsl_kep.llm_gateway import Gateway, MockBackend
 
+LIBRARY = PromptLibrary.load()
+
 
 def test_prompt_substitution():
-    system, user = build_keypoint_prompt("The claim under test.")
+    system, user = build_keypoint_prompt("The claim under test.", LIBRARY)
     assert "The claim under test." in user
     assert "<claim>" not in user
     assert system.strip()
@@ -20,8 +22,8 @@ def test_prompt_has_section_headers():
 
 
 def test_prompts_differ_only_in_claim_span():
-    _, user_a = build_keypoint_prompt("AAA")
-    _, user_b = build_keypoint_prompt("BBB")
+    _, user_a = build_keypoint_prompt("AAA", LIBRARY)
+    _, user_b = build_keypoint_prompt("BBB", LIBRARY)
     assert user_a.replace("AAA", "BBB") == user_b
 
 
@@ -87,7 +89,7 @@ def test_all_queries_always_ends_with_claim():
 def test_make_keypoints_happy_path():
     script = {0: ["PRIMITIVE:\n1. a\n2. b\n3. c\nCOMBINED:\n1. a and c"]}
     gateway = Gateway(MockBackend(script))
-    kps, fallbacks = make_keypoints(gateway, "claim text", claim_id=0)
+    kps, fallbacks = make_keypoints(gateway, "claim text", claim_id=0, library=LIBRARY)
     assert fallbacks == 0
     queries = kps.all_queries("claim text")
     assert len(queries) == 5
@@ -96,14 +98,14 @@ def test_make_keypoints_happy_path():
 
 def test_make_keypoints_garbage_degrades():
     gateway = Gateway(MockBackend({0: ["free text, no lists"]}))
-    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0)
+    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
     assert fallbacks == 1
     assert kps.all_queries("claim") == ["claim"]
 
 
 def test_make_keypoints_gateway_error_degrades():
     gateway = Gateway(MockBackend({0: [{"error": "transport"}]}))
-    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0)
+    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
     assert fallbacks == 1
     assert kps.n == 0
 
@@ -111,6 +113,6 @@ def test_make_keypoints_gateway_error_degrades():
 def test_make_keypoints_counts():
     script = {0: ["PRIMITIVE:\n1. a\n2. b\n3. c\n4. d\nCOMBINED:\n1. ab\n2. cd"]}
     gateway = Gateway(MockBackend(script))
-    kps, _ = make_keypoints(gateway, "claim", claim_id=0)
+    kps, _ = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
     assert kps.n == 6
     assert len(kps.all_queries("claim")) == 7

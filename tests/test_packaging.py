@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+
+import zsl_kep
+
+_NEW_TOP_LEVEL = """
+import sys
+before = set(sys.modules)
+import zsl_kep.cli
+print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_import_needs_only_the_stdlib():
+    """The package has no runtime dependencies: importing the CLI pulls in
+    nothing but the standard library and the package itself."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsl_kep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NEW_TOP_LEVEL], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert "zsl_kep" in out
+    assert [name for name in out
+            if name != "zsl_kep" and name not in sys.stdlib_module_names] == []

@@ -15,6 +15,7 @@ from zsl_kep.pipeline import (GROUP_SEPARATOR, RetrievalGroup, build_prediction_
 from helpers import make_store
 
 CFG = RunConfig()
+LIBRARY = PromptLibrary.load()
 
 
 def _index_store(passage_lists):
@@ -115,7 +116,7 @@ def test_unified_string_ids_resolve():
 
 
 def test_prediction_prompt_contract():
-    system, user = build_prediction_prompt("my claim", "doc one <0_0>")
+    system, user = build_prediction_prompt("my claim", "doc one <0_0>", LIBRARY)
     assert "my claim" in user
     assert "doc one <0_0>" in user
     assert "<claim>" not in user
@@ -133,7 +134,7 @@ def test_prediction_prompt_excludes_keypoints():
     marker = "zz-keypoint-marker-never-in-corpus"
     kps = KeyPointSet([marker], [])
     groups = run_retrieval(index, store, kps, "alpha", CFG)
-    _, user = build_prediction_prompt("alpha", build_unified_string(groups))
+    _, user = build_prediction_prompt("alpha", build_unified_string(groups), LIBRARY)
     assert marker not in user
 
 
@@ -244,7 +245,7 @@ def test_predict_no_truncation_on_success():
     store, groups = _truncation_fixture()
     backend = MockBackend({0: [GOOD_RESPONSE.replace("3_1", "0_0")]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
-                                claim_id=0)
+                                claim_id=0, library=LIBRARY)
     assert report.diagnostics.truncated is False
     assert report.verdict is VerdictLabel.SUPPORTED
     assert _doc_counts(backend.calls_for(0)[0].user_message) == [12, 60]
@@ -255,7 +256,7 @@ def test_predict_truncates_to_55_and_9_after_overflow():
     backend = MockBackend({0: [{"error": "context_overflow"},
                                GOOD_RESPONSE.replace("3_1", "0_0")]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
-                                claim_id=0)
+                                claim_id=0, library=LIBRARY)
     calls = backend.calls_for(0)
     assert len(calls) == 2
     assert _doc_counts(calls[0].user_message) == [12, 60]
@@ -269,7 +270,7 @@ def test_predict_halves_caps_on_second_overflow():
                                {"error": "context_overflow"},
                                GOOD_RESPONSE.replace("3_1", "0_0")]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
-                                claim_id=0)
+                                claim_id=0, library=LIBRARY)
     calls = backend.calls_for(0)
     assert _doc_counts(calls[2].user_message) == [4, 27]
     assert report.diagnostics.truncated is True
@@ -279,7 +280,8 @@ def test_truncation_monotonic_document_subsequence():
     store, groups = _truncation_fixture()
     overflow_entries = [{"error": "context_overflow"}] * 4
     backend = MockBackend({0: overflow_entries + [GOOD_RESPONSE.replace("3_1", "0_0")]})
-    predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG, claim_id=0)
+    predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG, claim_id=0,
+                       library=LIBRARY)
     calls = backend.calls_for(0)
     previous = None
     for call in calls:
@@ -296,7 +298,7 @@ def test_predict_gives_up_at_minimum_caps():
     store, groups = _truncation_fixture()
     backend = MockBackend({0: [{"error": "context_overflow"}] * 20})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
-                                claim_id=0)
+                                claim_id=0, library=LIBRARY)
     assert report.diagnostics.failed is True
     assert report.verdict is VerdictLabel.NOT_ENOUGH_EVIDENCE
     # caps sequence: full, 55/9, 27/4, 13/2, 6/1, 3/1, 1/1 -> 7 attempts
@@ -307,7 +309,7 @@ def test_predict_irrecoverable_failure_degrades():
     store, groups = _truncation_fixture()
     backend = MockBackend({7: [{"error": "transport", "detail": "socket closed"}]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
-                                claim_id=7)
+                                claim_id=7, library=LIBRARY)
     assert report.claim_id == 7
     assert report.diagnostics.failed is True
     assert report.verdict is VerdictLabel.NOT_ENOUGH_EVIDENCE
@@ -328,7 +330,7 @@ def test_run_claim_end_to_end_with_mock():
         "CITE1: 0_0\n\nJUSTIFICATION: The record says 1910.\n\nVERDICT: Supported",
     ]}
     record = ClaimRecord(claim_id=3, text="the comet passed in 1910")
-    report = run_claim(record, store, Gateway(MockBackend(script)), CFG)
+    report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.claim_id == 3
     assert report.verdict is VerdictLabel.SUPPORTED
     assert report.diagnostics.n_keypoints == 3
@@ -345,7 +347,7 @@ def test_run_claim_keypoint_failure_still_produces_report():
         "JUSTIFICATION: j\n\nVERDICT: Refuted",
     ]}
     record = ClaimRecord(claim_id=0, text="alpha beta")
-    report = run_claim(record, store, Gateway(MockBackend(script)), CFG)
+    report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.verdict is VerdictLabel.REFUTED
     assert report.diagnostics.n_keypoints == 0
     assert report.diagnostics.parse_fallbacks == 1
