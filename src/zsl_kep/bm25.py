@@ -8,11 +8,22 @@ The retrieval unit is the individual passage, scored with
 with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive
 for every indexed term, so any passage sharing a term with the query scores
 above zero and zero-score passages are never returned.
+
+The index precomputes what does not depend on the query: each passage's
+length norm ``k1 * (1 - b + b * len(d) / avg_len)``, and per term the
+ascending ordinals of the passages holding it (``postings``, so df is its
+length) with the aligned term frequencies (``term_freqs``). A query then
+costs one idf per term, one score term per posting and a heap selection of
+the top k. Per-posting impacts are deliberately not precomputed: that costs
+more build time and memory than the queries of one claim save. Scores are
+the same floats, summed in the same order, as a direct evaluation of the
+formula.
 """
 
+import heapq
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .corpus import DocRef, KnowledgeStore, iter_docs
@@ -43,8 +54,9 @@ class Bm25Index:
     doc_refs: list[DocRef]
     doc_lengths: list[int]
     avg_doc_length: float
-    doc_frequencies: dict[str, int]
-    postings: dict[str, list[tuple[int, int]]]
+    length_norms: list[float]
+    postings: dict[str, list[int]]
+    term_freqs: dict[str, list[int]]
     n_docs: int
     params: Bm25Params = field(default_factory=Bm25Params)
 
@@ -55,8 +67,10 @@ def build_index(store: KnowledgeStore, params: "Bm25Params | None" = None) -> Bm
     params = params or Bm25Params()
     doc_refs: list[DocRef] = []
     doc_lengths: list[int] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_frequencies: dict[str, int] = {}
+    # two flat int lists per term, not a tuple per posting: a third of the
+    # memory, and nothing for the cycle collector to track
+    postings: defaultdict[str, list[int]] = defaultdict(list)
+    term_freqs: defaultdict[str, list[int]] = defaultdict(list)
 
     for ref, passage in iter_docs(store):
         if not passage:
@@ -66,12 +80,17 @@ def build_index(store: KnowledgeStore, params: "Bm25Params | None" = None) -> Bm
         doc_refs.append(ref)
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((ordinal, tf))
-            doc_frequencies[term] = doc_frequencies.get(term, 0) + 1
+            postings[term].append(ordinal)
+            term_freqs[term].append(tf)
+    # a lookup of an unindexed term must raise or miss, never add the term
+    postings.default_factory = term_freqs.default_factory = None
 
     n_docs = len(doc_refs)
     avg = sum(doc_lengths) / n_docs if n_docs else 0.0
-    return Bm25Index(doc_refs, doc_lengths, avg, doc_frequencies, postings, n_docs, params)
+    k1, b = params.k1, params.b
+    # avg is 0 only when no passage has a token, and then no posting needs a norm
+    norms = [k1 * (1.0 - b + b * length / avg) for length in doc_lengths] if avg else []
+    return Bm25Index(doc_refs, doc_lengths, avg, norms, postings, term_freqs, n_docs, params)
 
 
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
@@ -79,20 +98,19 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     (url_index, text_index)."""
     if top_k <= 0 or index.n_docs == 0:
         return []
-    k1, b = index.params.k1, index.params.b
+    k1 = index.params.k1
+    norms = index.length_norms
     scores: dict[int, float] = {}
+    get = scores.get
     for term in dict.fromkeys(tokenize(query)):
         plist = index.postings.get(term)
         if not plist:
             continue
-        df = index.doc_frequencies[term]
+        df = len(plist)
         idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
-        for ordinal, tf in plist:
-            norm = k1 * (1.0 - b + b * index.doc_lengths[ordinal] / index.avg_doc_length)
-            scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+        for ordinal, tf in zip(plist, index.term_freqs[term]):
+            scores[ordinal] = get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / (tf + norms[ordinal])
 
-    ranked = sorted(
-        ((s, index.doc_refs[o]) for o, s in scores.items() if s > 0.0),
-        key=lambda pair: (-pair[0], pair[1].url_index, pair[1].text_index),
-    )
-    return [ScoredDoc(ref=ref, score=s) for s, ref in ranked[:top_k]]
+    # ordinals follow (url_index, text_index) order, so they break ties alike
+    best = heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items() if s > 0.0))
+    return [ScoredDoc(ref=index.doc_refs[o], score=-neg) for neg, o in best]

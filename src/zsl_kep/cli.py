@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bm25 import Bm25Params, build_index, retrieve
+from .bm25 import Bm25Params, build_index
 from .config import RunConfig
 from .corpus import load_claims, load_predictions, load_store, write_predictions
 from .errors import ConfigError, MalformedInput, MissingGold
@@ -150,10 +150,9 @@ def cmd_inspect(args) -> int:
         cap = cfg.claim_top_k if group.kind == "claim" else cfg.keypoint_top_k
         print(f"group {pos}/{len(groups)} kind={group.kind} cap={cap} "
               f"docs={len(group.docs)} query={group.query!r}")
-        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, cap)}
-        for ref, text in group.docs:
+        for (ref, text), score in zip(group.docs, group.scores):
             snippet = text if len(text) <= 80 else text[:77] + "..."
-            print(f"  {score_of[ref]:.6f} <{ref.serialize()}> {snippet}")
+            print(f"  {score:.6f} <{ref.serialize()}> {snippet}")
 
     print("unified retrieval string:")
     print(build_unified_string(groups))

@@ -59,6 +59,9 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"config field {key!r} must be {expected.__name__}")
         cfg = cls(**data)
+        for key, val in cfg.prompt_overrides.items():
+            if not isinstance(val, str):
+                raise ConfigError(f"prompt override {key!r} must be str (a template path)")
 
         base = os.path.dirname(os.path.abspath(path))
         for name in _PATH_FIELDS:

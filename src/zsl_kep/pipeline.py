@@ -2,8 +2,9 @@
 zero-shot prediction with overflow-truncation retries, and response parsing.
 
 Every claim always ends in a VerdictReport. Parse problems degrade field by
-field (and are counted), and an irrecoverable gateway failure produces a
-Not Enough Evidence report rather than no report at all.
+field (and are counted), and an irrecoverable gateway failure or a malformed
+knowledge store produces a Not Enough Evidence report for that claim alone,
+rather than no report at all.
 """
 
 import os
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from .bm25 import Bm25Params, build_index, retrieve
 from .corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
                      KnowledgeStore, VerdictLabel, VerdictReport, load_store, resolve)
-from .errors import UnknownDocRef
+from .errors import MalformedInput, UnknownDocRef
 from .keypoints import KeyPointSet, PromptLibrary, fill_placeholders, make_keypoints
 from .llm_gateway import ChatRequest, ContextOverflow, GatewayError
 
@@ -34,6 +35,7 @@ class RetrievalGroup:
     query: str
     kind: str  # "keypoint" | "claim"
     docs: list[tuple[DocRef, str]] = field(default_factory=list)
+    scores: list[float] = field(default_factory=list)  # BM25 score of each doc
 
 
 def run_retrieval(index, store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
@@ -47,14 +49,15 @@ def run_retrieval(index, store: KnowledgeStore, keypoints: KeyPointSet, claim: s
     for pos, query in enumerate(queries):
         is_claim = pos == len(queries) - 1
         top_k = cfg.claim_top_k if is_claim else cfg.keypoint_top_k
-        docs = []
+        docs, scores = [], []
         for hit in retrieve(index, query, top_k):
             if hit.ref in seen:
                 continue
             seen.add(hit.ref)
             docs.append((hit.ref, resolve(store, hit.ref)[1]))
+            scores.append(hit.score)
         groups.append(RetrievalGroup(query=query, kind="claim" if is_claim else "keypoint",
-                                     docs=docs))
+                                     docs=docs, scores=scores))
     return groups
 
 
@@ -81,14 +84,9 @@ def build_prediction_prompt(claim: str, unified: str,
 
 def _truncate_groups(groups: list[RetrievalGroup], claim_cap: int,
                      keypoint_cap: int) -> list[RetrievalGroup]:
-    return [
-        RetrievalGroup(
-            query=g.query,
-            kind=g.kind,
-            docs=g.docs[: claim_cap if g.kind == "claim" else keypoint_cap],
-        )
-        for g in groups
-    ]
+    caps = [claim_cap if g.kind == "claim" else keypoint_cap for g in groups]
+    return [RetrievalGroup(query=g.query, kind=g.kind, docs=g.docs[:cap], scores=g.scores[:cap])
+            for g, cap in zip(groups, caps)]
 
 
 def _top_doc(groups: list[RetrievalGroup]) -> "tuple[DocRef, str] | None":
@@ -288,7 +286,11 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
     library = PromptLibrary.load(cfg.prompt_overrides)
 
     def work(record: ClaimRecord) -> VerdictReport:
-        store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)
+        try:
+            store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)
+        except MalformedInput as exc:
+            return _failure_report(record.claim_id, record.text, [],
+                                   KnowledgeStore(record.claim_id), str(exc), Diagnostics())
         return run_claim(record, store, gateway, cfg, library)
 
     def done(report: VerdictReport) -> VerdictReport:
@@ -300,13 +302,14 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
         return [done(work(record)) for record in claims]
 
     results: list["VerdictReport | None"] = [None] * len(claims)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
         futures = {pool.submit(work, record): pos for pos, record in enumerate(claims)}
-        try:
-            for future in as_completed(futures):
-                results[futures[future]] = done(future.result())
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+        for future in as_completed(futures):
+            results[futures[future]] = done(future.result())
+    except BaseException:
+        # do not wait for claims still in flight (an HTTP call may take minutes)
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
     return results  # type: ignore[return-value]

@@ -37,8 +37,12 @@ def test_build_index_skips_empty_passage():
 
 
 def test_doc_frequencies_by_hand():
-    index = build_index(make_store([["a b", "b c"]]))
-    assert index.doc_frequencies == {"a": 1, "b": 2, "c": 1}
+    index = build_index(make_store([["a b", "b c b"]]))
+    assert {term: len(plist) for term, plist in index.postings.items()} == {"a": 1, "b": 2, "c": 1}
+    assert index.postings["b"] == [0, 1]
+    assert index.term_freqs["b"] == [1, 2]
+    with pytest.raises(KeyError):  # a miss does not grow the index
+        index.postings["zz"]
 
 
 def _scores(index, query):
@@ -147,3 +151,49 @@ def test_postings_score_equals_naive_recount(passages, query):
     for ordinal, i in enumerate(kept):
         assert scores.get(DocRef(0, i), 0.0) == pytest.approx(oracle[ordinal], abs=1e-9)
     assert index.n_docs == len(kept)
+
+
+_FUNCTION_WORDS = ["the", "of", "and", "to", "a", "in", "is", "that"]
+
+
+def _zipf_passage_lists(rng):
+    """Several URLs of passages drawn from a Zipfian vocabulary led by function
+    words, with empty and token-free passages and exact duplicates (ties)."""
+    vocab = _FUNCTION_WORDS + [f"w{i}" for i in range(rng.randint(5, 80))]
+    weights = [1.0 / rank for rank in range(1, len(vocab) + 1)]
+    passage_lists = []
+    for _ in range(rng.randint(1, 6)):
+        passages = []
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.random()
+            if kind < 0.06:
+                passages.append("")
+            elif kind < 0.1:
+                passages.append("-- , . ;")
+            elif kind < 0.25 and passages:
+                passages.append(rng.choice(passages))
+            else:
+                passages.append(" ".join(rng.choices(vocab, weights, k=rng.randint(1, 40))))
+        passage_lists.append(passages)
+    return vocab, weights, passage_lists
+
+
+def test_retrieve_equals_exact_oracle_prefix():
+    """Ranks and scores are the oracle's to the last bit, for every cut-off."""
+    rng = random.Random(20240)
+    for _ in range(120):
+        vocab, weights, passage_lists = _zipf_passage_lists(rng)
+        index = build_index(make_store(passage_lists))
+        kept = [(DocRef(u, t), passage) for u, passages in enumerate(passage_lists)
+                for t, passage in enumerate(passages) if passage]
+        n = sum(len(passages) for passages in passage_lists)
+        for _ in range(4):
+            terms = rng.choices(vocab, weights, k=rng.randint(1, 8))
+            query = " ".join(terms + rng.choice([[], [terms[0]], ["zzz"]]))
+            oracle = naive_bm25_scores([passage for _, passage in kept], query)
+            expected = sorted(
+                ((ref, s) for (ref, _), s in zip(kept, oracle) if s > 0.0),
+                key=lambda pair: (-pair[1], pair[0].url_index, pair[0].text_index))
+            for k in (0, 1, 12, 70, n):
+                got = [(d.ref, d.score) for d in retrieve(index, query, k)]
+                assert got == expected[:k]

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -196,3 +197,42 @@ def test_inspect_no_llm(capsys):
     assert "keypoint prompt" in out
     assert "groups: 1" in out
     assert "kind=claim cap=70" in out
+
+
+def test_inspect_retrieves_once_per_group(capsys, monkeypatch):
+    import zsl_kep.cli as cli_mod
+    import zsl_kep.pipeline as pipeline_mod
+    real_retrieve = pipeline_mod.retrieve
+    calls = []
+
+    def counting(index, query, top_k):
+        calls.append(query)
+        return real_retrieve(index, query, top_k)
+
+    monkeypatch.setattr(pipeline_mod, "retrieve", counting)
+    monkeypatch.setattr(cli_mod, "retrieve", counting, raising=False)
+    assert main(["inspect", "--config", E2E_CONFIG, "--claim", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "groups: 7" in out
+    assert len(calls) == 7
+
+
+def test_run_malformed_store_fails_only_its_claim(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    (fixture / "stores" / "2.json").write_text(
+        json.dumps({"url": "u", "url2text": [1]}) + "\n", encoding="utf-8")
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "claims processed: 4" in err and "failed claims: 1" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [row["claim_id"] for row in pred] == [0, 1, 2, 3]
+    assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
+    assert pred[2]["pred_label"] == "Not Enough Evidence"
+    assert "'url2text' must be a string array" in pred[2]["justification"]

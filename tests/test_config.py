@@ -21,6 +21,7 @@ def _load(tmp_path, payload):
     {"prompt_overrides": ["keypoint_user.txt"]},  # non-object overrides
     {"claims_path": 5},                 # non-string path
     {"store_dir": None},
+    {"prompt_overrides": {"keypoint_user": 5}},  # non-string template path
 ])
 def test_from_file_rejects_wrong_types(tmp_path, payload):
     with pytest.raises(ConfigError):

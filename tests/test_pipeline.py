@@ -1,16 +1,18 @@
+import json
 import re
+import threading
 
 import pytest
 
-from zsl_kep.bm25 import build_index
+from zsl_kep.bm25 import build_index, retrieve
 from zsl_kep.config import RunConfig
 from zsl_kep.corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, VerdictLabel,
                             resolve)
 from zsl_kep.keypoints import KeyPointSet, PromptLibrary
-from zsl_kep.llm_gateway import Gateway, MockBackend
-from zsl_kep.pipeline import (GROUP_SEPARATOR, RetrievalGroup, build_prediction_prompt,
-                              build_unified_string, parse_prediction, predict_with_retry,
-                              run_claim, run_retrieval)
+from zsl_kep.llm_gateway import Gateway, MockBackend, TransportFailure
+from zsl_kep.pipeline import (GROUP_SEPARATOR, RetrievalGroup, _truncate_groups,
+                              build_prediction_prompt, build_unified_string, parse_prediction,
+                              predict_with_retry, run_batch, run_claim, run_retrieval)
 
 from helpers import make_store
 
@@ -276,6 +278,19 @@ def test_predict_halves_caps_on_second_overflow():
     assert report.diagnostics.truncated is True
 
 
+def test_group_scores_align_with_docs_through_truncation():
+    store, groups = _truncation_fixture()
+    index = build_index(store)
+    for group in groups:
+        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, index.n_docs)}
+        assert group.scores == [score_of[ref] for ref, _ in group.docs]
+    for caps in ((55, 9), (27, 4), (1, 1)):
+        for cut, full in zip(_truncate_groups(groups, *caps), groups):
+            kept = len(cut.docs)
+            assert kept == min(len(full.docs), caps[0] if full.kind == "claim" else caps[1])
+            assert (cut.docs, cut.scores) == (full.docs[:kept], full.scores[:kept])
+
+
 def test_truncation_monotonic_document_subsequence():
     store, groups = _truncation_fixture()
     overflow_entries = [{"error": "context_overflow"}] * 4
@@ -351,3 +366,44 @@ def test_run_claim_keypoint_failure_still_produces_report():
     assert report.verdict is VerdictLabel.REFUTED
     assert report.diagnostics.n_keypoints == 0
     assert report.diagnostics.parse_fallbacks == 1
+
+
+@pytest.fixture
+def release():
+    event = threading.Event()
+    yield event
+    event.set()  # lets the claim still in flight finish after the test
+
+
+def test_run_batch_interrupt_does_not_wait_for_claims_in_flight(tmp_path, release):
+    store_dir = tmp_path / "stores"
+    store_dir.mkdir()
+    for cid in (0, 1):
+        (store_dir / f"{cid}.json").write_text(
+            json.dumps({"url": "u", "url2text": ["alpha beta"]}) + "\n", encoding="utf-8")
+    cfg = RunConfig(store_dir=str(store_dir), workers=2)
+    claims = [ClaimRecord(claim_id=0, text="alpha"), ClaimRecord(claim_id=1, text="beta")]
+    in_flight = threading.Event()
+
+    class _Gateway:
+        def complete(self, request, claim_id=None):
+            if claim_id == 0:
+                in_flight.set()
+                release.wait(30)
+                raise TransportFailure("released")
+            in_flight.wait(5)
+            raise KeyboardInterrupt
+
+    outcome = []
+
+    def batch():
+        try:
+            run_batch(claims, _Gateway(), cfg)
+        except KeyboardInterrupt:
+            outcome.append("interrupted")
+
+    caller = threading.Thread(target=batch, daemon=True)
+    caller.start()
+    caller.join(2.0)
+    assert not caller.is_alive(), "run_batch waited for the claim still in flight"
+    assert outcome == ["interrupted"]
