@@ -15,5 +15,4 @@ from .llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway, G
 from .pipeline import (RetrievalGroup, build_prediction_prompt, build_unified_string,
                        parse_prediction, predict_with_retry, run_batch, run_claim,
                        run_retrieval)
-from .scoring import (ClaimScore, MeteorParams, ScoreReport, evidence_score, hungarian_max,
-                      meteor, score_run)
+from .scoring import ClaimScore, ScoreReport, evidence_score, hungarian_max, meteor, score_run

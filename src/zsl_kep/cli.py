@@ -24,7 +24,7 @@ from .errors import ConfigError, MalformedInput, MissingGold
 from .keypoints import KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints
 from .llm_gateway import Gateway, GatewayError, HttpBackend, MockBackend
 from .pipeline import build_unified_string, run_batch, run_retrieval, store_path_for
-from .scoring import MeteorParams, score_run
+from .scoring import score_run
 
 
 def _log(message: str) -> None:
@@ -88,10 +88,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params = MeteorParams(stemming=args.stemming)
     gold = load_claims(args.gold)
     reports = load_predictions(args.pred)
-    result = score_run(reports, gold, params)
+    result = score_run(reports, gold, stemming=args.stemming)
 
     _log(f"q_only={result.aggregate['q_only']:.4f}")
     _log(f"q_plus_a={result.aggregate['q_plus_a']:.4f}")

@@ -6,10 +6,10 @@ standard operating point: top_k 70/12, truncation 55/9, temperature 0,
 top_p 0.8, 512/1024 new tokens.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
+from .corpus import read_json
 from .errors import ConfigError, MalformedInput
 from .keypoints import TEMPLATE_NAMES
 
@@ -42,11 +42,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
+        data = read_json(path)
         if not isinstance(data, dict):
             raise MalformedInput(f"{path}: config must be a JSON object")
 
@@ -114,6 +110,8 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
+        if self.prompt_budget < 0:
+            raise ConfigError("prompt_budget must be >= 0 (0 turns the guard off)")
         for key in self.prompt_overrides:
             if key not in TEMPLATE_NAMES:
                 raise ConfigError(f"unknown prompt override {key!r}")

@@ -132,14 +132,21 @@ class VerdictReport:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
+def read_json(path):
+    """Parse one JSON file; invalid JSON or non-UTF-8 bytes raise MalformedInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_claims(path) -> list[ClaimRecord]:
     """Read a claims file: a JSON array of objects with ``claim`` and,
     in gold files, ``label`` plus ``questions``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise MalformedInput(f"{path}: expected a JSON array of claim objects")
 
@@ -165,10 +172,11 @@ def load_claims(path) -> list[ClaimRecord]:
                 raise MalformedInput(f"{path}: element {idx} 'questions' must be an array")
             evidence = []
             for q_idx, q in enumerate(row["questions"]):
-                if not isinstance(q, dict) or "question" not in q or "answers" not in q:
-                    raise MalformedInput(
-                        f"{path}: element {idx} question {q_idx} needs 'question' and 'answers'"
-                    )
+                if (not isinstance(q, dict) or not isinstance(q.get("question"), str)
+                        or not isinstance(q.get("answers"), list)
+                        or any(not isinstance(a, dict) for a in q["answers"])):
+                    raise MalformedInput(f"{path}: element {idx} question {q_idx} needs a "
+                                         "string 'question' and an array of 'answers' objects")
                 answers = [a.get("answer", "") for a in q["answers"]]
                 if not answers or any(not isinstance(a, str) or not a for a in answers):
                     raise MalformedInput(
@@ -185,20 +193,24 @@ def load_store(path, claim_id: int) -> KnowledgeStore:
     """Read one knowledge store: JSON Lines, each line
     ``{"url": ..., "url2text": [...]}``. Line order defines the indices."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}: line {line_no} is not valid JSON") from exc
-            if not isinstance(row, dict) or "url" not in row or "url2text" not in row:
-                raise MalformedInput(f"{path}: line {line_no} needs 'url' and 'url2text'")
-            passages = row["url2text"]
-            if not isinstance(passages, list) or any(not isinstance(p, str) for p in passages):
-                raise MalformedInput(f"{path}: line {line_no} 'url2text' must be a string array")
-            entries.append(UrlEntry(url=str(row["url"]), passages=list(passages)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedInput(f"{path}: line {line_no} is not valid JSON") from exc
+                if not isinstance(row, dict) or "url" not in row or "url2text" not in row:
+                    raise MalformedInput(f"{path}: line {line_no} needs 'url' and 'url2text'")
+                passages = row["url2text"]
+                if not isinstance(passages, list) or any(not isinstance(p, str) for p in passages):
+                    raise MalformedInput(
+                        f"{path}: line {line_no} 'url2text' must be a string array")
+                entries.append(UrlEntry(url=str(row["url"]), passages=list(passages)))
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
     return KnowledgeStore(claim_id=claim_id, entries=entries)
 
 
@@ -250,11 +262,7 @@ def write_predictions(path, reports: list[VerdictReport]) -> None:
 
 def load_predictions(path) -> list[VerdictReport]:
     """Read a predictions file back into reports (used by scoring and tests)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise MalformedInput(f"{path}: expected a JSON array of prediction objects")
 
@@ -279,6 +287,8 @@ def load_predictions(path) -> list[VerdictReport]:
                 justification=row.get("justification", ""),
                 verdict=VerdictLabel.from_string(row["pred_label"]),
             ))
-        except (KeyError, TypeError) as exc:
+        except MalformedInput:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{path}: element {idx} is malformed ({exc})") from exc
     return reports

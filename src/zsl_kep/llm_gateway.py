@@ -17,6 +17,7 @@ import urllib.request
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .corpus import read_json
 from .errors import MalformedInput
 
 
@@ -102,21 +103,21 @@ class MockBackend:
     def __init__(self, scripts):
         if isinstance(scripts, list):
             scripts = {i: entries for i, entries in enumerate(scripts)}
+        self._scripts: dict[int, list] = {}
         for key, entries in scripts.items():
             if not isinstance(entries, list):
                 raise MalformedReply(f"script for claim {key} must be a list of entries")
-        self._scripts = {int(k): list(v) for k, v in scripts.items()}
+            try:
+                self._scripts[int(key)] = list(entries)
+            except ValueError:
+                raise MalformedInput(f"script key {key!r} is not a claim id") from None
         self._cursor: dict[int, int] = defaultdict(int)
         self._lock = threading.Lock()
         self.requests: list[tuple[int, ChatRequest]] = []
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                scripts = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
+        scripts = read_json(path)
         if not isinstance(scripts, (list, dict)):
             raise MalformedInput(f"{path}: script must be an array or object")
         return cls(scripts)

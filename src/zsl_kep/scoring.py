@@ -5,11 +5,11 @@ alignment, chosen among the maximum alignments to minimize the number of
 chunks (maximal runs matching contiguously on both sides), then
 
     P = m/|hyp|, R = m/|ref|, F = 10PR/(R+9P),
-    penalty = gamma*(ch/m)**beta, score = F*(1-penalty)
+    penalty = GAMMA*(ch/m)**BETA, score = F*(1-penalty)
 
-with gamma=0.5 and beta=3. Stemming and synonym stages are deliberately out;
-a trivial suffix-stripper can be switched on instead, off by default because
-it changes scores.
+with the fixed constants GAMMA=0.5 and BETA=3. Stemming and synonym stages
+are deliberately out; a trivial suffix-stripper can be switched on instead
+(``stemming=True``), off by default because it changes scores.
 
 Predicted evidence strings are matched to gold ones with a max-sum assignment
 (Hungarian), and the matched similarity mass is normalized by the number of
@@ -19,24 +19,19 @@ is right AND its question+answer evidence score reaches the 0.25 gate.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .bm25 import tokenize
 from .corpus import ClaimRecord, VerdictReport
 from .errors import EmptyReferenceList, MissingGold, NonFiniteEntry
 
 GATE_THRESHOLD = 0.25
+GAMMA = 0.5
+BETA = 3.0
 
 # exhaustive minimal-chunk search gives up after this many nodes and keeps the
 # best alignment found so far (the greedy seed at worst)
 _ALIGN_NODE_BUDGET = 200_000
-
-
-@dataclass(frozen=True)
-class MeteorParams:
-    gamma: float = 0.5
-    beta: float = 3.0
-    stemming: bool = False
 
 
 def _stem(token: str) -> str:
@@ -52,20 +47,18 @@ def _stem(token: str) -> str:
     return token
 
 
-def _terms(text: str, params: MeteorParams) -> list[str]:
+def _terms(text: str, stemming: bool) -> list[str]:
     tokens = tokenize(text)
-    if params.stemming:
+    if stemming:
         tokens = [_stem(t) for t in tokens]
     return tokens
 
 
-def _greedy_alignment(hyp: list[str], ref: list[str], need: dict[str, int]) -> int:
-    """Chunk count of a left-to-right maximum alignment; upper bound seed."""
+def _greedy_alignment(hyp: list[str], ref: list[str], need: dict[str, int],
+                      ref_positions: dict[str, list[int]]) -> int:
+    """Chunk count of a left-to-right maximum alignment; the search's upper
+    bound, without which a long identical pair recurses once per token."""
     need_left = dict(need)
-    ref_free: dict[str, list[int]] = {}
-    for pos, tok in enumerate(ref):
-        if tok in need:
-            ref_free.setdefault(tok, []).append(pos)
     used: set[int] = set()
     chunks = 0
     prev_ref = None
@@ -73,22 +66,13 @@ def _greedy_alignment(hyp: list[str], ref: list[str], need: dict[str, int]) -> i
         if need_left.get(tok, 0) <= 0:
             prev_ref = None
             continue
-        choice = None
-        if prev_ref is not None:
-            nxt = prev_ref + 1
-            if nxt < len(ref) and ref[nxt] == tok and nxt not in used:
-                choice = nxt
-        if choice is None:
-            for pos in ref_free[tok]:
-                if pos not in used:
-                    choice = pos
-                    break
-        if choice is None:
-            prev_ref = None
-            continue
+        nxt = None if prev_ref is None else prev_ref + 1
+        extend = nxt is not None and nxt < len(ref) and ref[nxt] == tok and nxt not in used
+        # need_left[tok] > 0 leaves some position of tok unused
+        choice = nxt if extend else next(p for p in ref_positions[tok] if p not in used)
         used.add(choice)
         need_left[tok] -= 1
-        chunks += 0 if prev_ref is not None and choice == prev_ref + 1 else 1
+        chunks += 0 if extend else 1
         prev_ref = choice
     return chunks
 
@@ -114,16 +98,14 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
         if tok in need:
             ref_positions.setdefault(tok, []).append(pos)
 
-    # suffix[i][t]: occurrences of t in hyp[i:], for skip feasibility
-    suffix: list[dict[str, int]] = [dict() for _ in range(n + 1)]
+    # later[i]: occurrences of hyp[i] in hyp[i+1:], for skip feasibility
+    later = [0] * n
+    seen: dict[str, int] = {}
     for i in range(n - 1, -1, -1):
-        cur = dict(suffix[i + 1])
-        tok = hyp[i]
-        if tok in need:
-            cur[tok] = cur.get(tok, 0) + 1
-        suffix[i] = cur
+        later[i] = seen.get(hyp[i], 0)
+        seen[hyp[i]] = later[i] + 1
 
-    best = _greedy_alignment(hyp, ref, need)
+    best = _greedy_alignment(hyp, ref, need, ref_positions)
     nodes = 0
 
     def search(i: int, remaining: int, need_left: dict[str, int], used: int,
@@ -154,24 +136,22 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
                        chunks if extend else chunks + 1)
                 need_left[tok] = left
         # skip hypothesis position i if later occurrences can still cover the need
-        if left == 0 or suffix[i + 1].get(tok, 0) >= left:
+        if left == 0 or later[i] >= left:
             search(i + 1, remaining, need_left, used, None, chunks)
 
     search(0, m, dict(need), 0, None, 0)
     return m, best
 
 
-def meteor(hypothesis: str, references: list[str],
-           params: "MeteorParams | None" = None) -> float:
+def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) -> float:
     """Similarity in [0, 1]; with several references the best one counts."""
     if not references:
         raise EmptyReferenceList("meteor needs at least one reference")
-    params = params or MeteorParams()
 
-    hyp = _terms(hypothesis, params)
+    hyp = _terms(hypothesis, stemming)
     best = 0.0
     for reference in references:
-        ref = _terms(reference, params)
+        ref = _terms(reference, stemming)
         if not hyp or not ref:
             continue
         m, chunks = _alignment(hyp, ref)
@@ -180,7 +160,7 @@ def meteor(hypothesis: str, references: list[str],
         precision = m / len(hyp)
         recall = m / len(ref)
         fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
-        penalty = params.gamma * (chunks / m) ** params.beta
+        penalty = GAMMA * (chunks / m) ** BETA
         best = max(best, fmean * (1.0 - penalty))
     return best
 
@@ -292,8 +272,7 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
     return chosen
 
 
-def evidence_score(pred_strings: list[str], gold_strings,
-                   params: "MeteorParams | None" = None) -> float:
+def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = False) -> float:
     """Assignment-matched METEOR mass over gold evidence.
 
     Each gold entry may be one string or a list of acceptable variants (any
@@ -302,11 +281,10 @@ def evidence_score(pred_strings: list[str], gold_strings,
     """
     if not gold_strings:
         raise EmptyReferenceList("evidence_score needs at least one gold string")
-    params = params or MeteorParams()
     gold_variants = [[g] if isinstance(g, str) else list(g) for g in gold_strings]
     if not pred_strings:
         return 0.0
-    matrix = [[meteor(pred, variants, params) for variants in gold_variants]
+    matrix = [[meteor(pred, variants, stemming=stemming) for variants in gold_variants]
               for pred in pred_strings]
     total = sum(matrix[i][j] for i, j in hungarian_max(matrix))
     return total / len(gold_variants)
@@ -326,38 +304,26 @@ class ClaimScore:
 class ScoreReport:
     per_claim: list[ClaimScore]
     aggregate: dict[str, float]
-    params: MeteorParams = field(default_factory=MeteorParams)
+    stemming: bool = False
     threshold: float = GATE_THRESHOLD
-    normalization: str = "gold_count"
 
     def to_dict(self) -> dict:
         return {
             "params": {
                 "fmean": "10PR/(R+9P)",
-                "gamma": self.params.gamma,
-                "beta": self.params.beta,
-                "stemming": self.params.stemming,
+                "gamma": GAMMA,
+                "beta": BETA,
+                "stemming": self.stemming,
                 "threshold": self.threshold,
-                "normalization": self.normalization,
+                "normalization": "gold_count",
             },
             "aggregate": dict(self.aggregate),
-            "per_claim": [
-                {
-                    "claim_id": c.claim_id,
-                    "q_only": c.q_only,
-                    "q_plus_a": c.q_plus_a,
-                    "label_correct": c.label_correct,
-                    "gated_correct": c.gated_correct,
-                    "gold_evidence_empty": c.gold_evidence_empty,
-                }
-                for c in self.per_claim
-            ],
+            "per_claim": [asdict(c) for c in self.per_claim],
         }
 
 
 def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
-              params: "MeteorParams | None" = None,
-              threshold: float = GATE_THRESHOLD) -> ScoreReport:
+              *, stemming: bool = False, threshold: float = GATE_THRESHOLD) -> ScoreReport:
     """Score predicted reports against gold records.
 
     q_only matches question strings, q_plus_a matches "question answer"
@@ -366,7 +332,6 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
     q_plus_a clears the threshold; with empty gold evidence the gate passes
     vacuously and the row is flagged.
     """
-    params = params or MeteorParams()
     by_id = {record.claim_id: record for record in gold}
 
     per_claim: list[ClaimScore] = []
@@ -381,11 +346,11 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
         if record.gold_evidence:
             pred_q = [ev.question for ev in report.evidence]
             gold_q = [[g.question] for g in record.gold_evidence]
-            q_only = evidence_score(pred_q, gold_q, params)
+            q_only = evidence_score(pred_q, gold_q, stemming=stemming)
 
             pred_qa = [f"{ev.question} {ev.answer}" for ev in report.evidence]
             gold_qa = [[f"{g.question} {a}" for a in g.answers] for g in record.gold_evidence]
-            q_plus_a = evidence_score(pred_qa, gold_qa, params)
+            q_plus_a = evidence_score(pred_qa, gold_qa, stemming=stemming)
 
             gated = label_correct and q_plus_a >= threshold
             empty_gold = False
@@ -404,5 +369,5 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
         "q_plus_a": sum(c.q_plus_a for c in per_claim) / count if count else 0.0,
         "averitec": sum(1.0 for c in per_claim if c.gated_correct) / count if count else 0.0,
     }
-    return ScoreReport(per_claim=per_claim, aggregate=aggregate, params=params,
+    return ScoreReport(per_claim=per_claim, aggregate=aggregate, stemming=stemming,
                        threshold=threshold)

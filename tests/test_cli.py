@@ -91,6 +91,18 @@ def test_run_unknown_config_field(tmp_path, capsys):
     assert "not_a_field" in capsys.readouterr().err
 
 
+def test_run_negative_prompt_budget(tmp_path, capsys):
+    config_path = Path(_minimal_setup(tmp_path))
+    cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    cfg["prompt_budget"] = -5
+    _write_json(config_path, cfg)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error: prompt_budget must be >= 0" in capsys.readouterr().err
+    cfg["prompt_budget"] = 0  # 0 turns the guard off
+    _write_json(config_path, cfg)
+    assert main(["run", "--config", str(config_path)]) == 0
+
+
 def test_run_bad_backend(tmp_path, capsys):
     config_path = Path(_minimal_setup(tmp_path))
     cfg = json.loads(config_path.read_text(encoding="utf-8"))
@@ -236,3 +248,57 @@ def test_run_malformed_store_fails_only_its_claim(tmp_path, capsys):
     assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
     assert pred[2]["pred_label"] == "Not Enough Evidence"
     assert "'url2text' must be a string array" in pred[2]["justification"]
+
+
+def test_run_non_utf8_store_fails_only_its_claim(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    store = fixture / "stores" / "2.json"
+    store.write_bytes(store.read_bytes().replace(b"ridge", b"r\xe9dge", 1))
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "claims processed: 4" in err and "failed claims: 1" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
+    assert pred[2]["pred_label"] == "Not Enough Evidence"
+    assert "2.json: not UTF-8 text" in pred[2]["justification"]
+
+
+def test_run_latin1_claims_file_exits_1(tmp_path, capsys):
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    claims = fixture / "claims.json"
+    text = claims.read_text(encoding="utf-8").replace("Hartwell", "Hartw\u00e9ll")
+    claims.write_bytes(text.encode("latin-1"))
+    assert main(["run", "--config", str(fixture / "config.json"),
+                 "--output", str(tmp_path / "pred.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "claims.json: not UTF-8 text" in err
+    assert not (tmp_path / "pred.json").exists()
+
+
+def test_score_stemming_flag(tmp_path, capsys):
+    gold = _write_json(tmp_path / "gold.json", [{
+        "claim": "c", "label": "Supported",
+        "questions": [{"question": "how many cats chase dogs",
+                       "answers": [{"answer": "three cats"}]}]}])
+    pred = _write_json(tmp_path / "pred.json", [{
+        "claim_id": 0, "claim": "c", "pred_label": "Supported", "justification": "",
+        "evidence": [{"question": "how many cat chase dog", "answer": "three cat",
+                      "answer_type": "Extractive", "url": "u", "scraped_text": "t",
+                      "citation_id": "0_0"}]}])
+    reports = {}
+    for flag in ([], ["--stemming"]):
+        report = tmp_path / f"scores{len(flag)}.json"
+        assert main(["score", "--pred", pred, "--gold", gold, "--report", str(report)] + flag) == 0
+        reports[bool(flag)] = json.loads(report.read_text(encoding="utf-8"))
+    assert reports[False]["params"]["stemming"] is False
+    assert reports[True]["params"]["stemming"] is True
+    assert (reports[True]["per_claim"][0]["q_only"]
+            > reports[False]["per_claim"][0]["q_only"])

@@ -66,6 +66,18 @@ def test_load_claims_not_json(tmp_path):
         load_claims(path)
 
 
+@pytest.mark.parametrize("question", [
+    {"question": "q?", "answers": ["plain string"]},
+    {"question": "q?", "answers": "one"},
+    {"question": 5, "answers": [{"answer": "one"}]},
+], ids=["answer_string", "answers_string", "question_int"])
+def test_load_claims_wrongly_shaped_question_rejected(tmp_path, question):
+    path = _write(tmp_path / "claims.json",
+                  [{"claim": "a", "label": "Refuted", "questions": [question]}])
+    with pytest.raises(MalformedInput, match="question 0 needs a string 'question'"):
+        load_claims(path)
+
+
 def test_load_store_counts_and_order(tmp_path):
     path = tmp_path / "0.json"
     lines = [
@@ -192,5 +204,18 @@ def test_load_predictions_unknown_enum_rejected(tmp_path, label, answer_type):
     row = {"claim_id": 0, "claim": "c", "pred_label": label, "justification": "",
            "evidence": [{"question": "q?", "answer": "a", "answer_type": answer_type,
                          "url": "https://u", "scraped_text": "t", "citation_id": "0_0"}]}
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match="^unknown "):
+        load_predictions(_write(tmp_path / "pred.json", [row]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("claim_id", "abc"),
+    ("evidence", [{"question": "q?", "answer": "a", "answer_type": "Boolean",
+                   "url": "https://u", "scraped_text": "t", "citation_id": 7}]),
+], ids=["claim_id_not_int", "citation_not_string"])
+def test_load_predictions_wrongly_shaped_row_rejected(tmp_path, field, value):
+    row = {"claim_id": 0, "claim": "c", "pred_label": "Supported", "justification": "",
+           "evidence": []}
+    row[field] = value
+    with pytest.raises(MalformedInput, match="element 0 is malformed"):
         load_predictions(_write(tmp_path / "pred.json", [row]))

@@ -7,6 +7,7 @@ import urllib.error
 
 import pytest
 
+from zsl_kep.errors import MalformedInput
 from zsl_kep.llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway,
                                  HttpBackend, MalformedReply, MockBackend, RateLimited,
                                  TransportFailure)
@@ -64,6 +65,17 @@ def test_mock_list_scripts_and_exhaustion():
         gateway.complete(_req(), 0)
     with pytest.raises(MalformedReply):
         gateway.complete(_req(), 99)
+
+
+@pytest.mark.parametrize("script, error, message", [
+    ({"abc": ["r"]}, MalformedInput, "script key 'abc' is not a claim id"),
+    ({"0": "r"}, MalformedReply, "must be a list of entries"),
+], ids=["key_not_claim_id", "entries_not_list"])
+def test_mock_rejects_malformed_script(tmp_path, script, error, message):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    with pytest.raises(error, match=message):
+        MockBackend.from_file(path)
 
 
 def test_prompt_text_passes_through_unmodified():

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zsl_kep.corpus import (AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA,
                             VerdictLabel, VerdictReport)
 from zsl_kep.errors import EmptyReferenceList, MissingGold, NonFiniteEntry
-from zsl_kep.scoring import (MeteorParams, evidence_score, hungarian_max, meteor,
-                             score_run)
+from zsl_kep.scoring import evidence_score, hungarian_max, meteor, score_run
 
 from helpers import brute_force_assignment, independent_meteor
 
@@ -61,10 +60,25 @@ def test_meteor_matches_independent_implementation():
 
 
 def test_meteor_stemming_flag():
-    on = MeteorParams(stemming=True)
-    assert meteor("the cats", ["the cat"], on) > meteor("the cats", ["the cat"])
+    assert meteor("the cats", ["the cat"], stemming=True) > meteor("the cats", ["the cat"])
     # default off: plural does not match
-    assert meteor("cats purr", ["cat purr"]) < meteor("cats purr", ["cat purr"], on)
+    assert meteor("cats purr", ["cat purr"]) < meteor("cats purr", ["cat purr"], stemming=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=7),
+       st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=7))
+def test_meteor_equals_oracle_on_repetition_heavy_pairs(hyp_tokens, ref_tokens):
+    hyp, ref = " ".join(hyp_tokens), " ".join(ref_tokens)
+    assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
+
+
+def test_meteor_long_identical_pair():
+    # the greedy upper bound keeps the search shallow; without it the first
+    # descent recurses once per token and overflows the stack
+    rng = random.Random(7)
+    text = " ".join(rng.choices([f"w{i}" for i in range(300)], k=1200))
+    assert meteor(text, [text]) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=60)
