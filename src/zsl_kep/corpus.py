@@ -15,6 +15,10 @@ from .errors import MalformedInput, UnknownDocRef
 
 _DOC_REF_RE = re.compile(r"^(\d+)_(\d+)$")
 
+# evidence items per prediction: parse_prediction keeps at most this many and
+# load_predictions rejects more, which also bounds the assignment search
+MAX_EVIDENCE = 4
+
 
 def _squash(text: str) -> str:
     """Lowercase and drop everything that is not a letter or digit."""
@@ -261,12 +265,15 @@ def write_predictions(path, reports: list[VerdictReport]) -> None:
 
 
 def load_predictions(path) -> list[VerdictReport]:
-    """Read a predictions file back into reports (used by scoring and tests)."""
+    """Read a predictions file back into reports (used by scoring and tests).
+    A row with more than MAX_EVIDENCE evidence items or a repeated claim_id
+    is rejected."""
     data = read_json(path)
     if not isinstance(data, list):
         raise MalformedInput(f"{path}: expected a JSON array of prediction objects")
 
     reports = []
+    first_idx: dict[int, int] = {}  # claim id -> element that first held it
     for idx, row in enumerate(data):
         try:
             evidence = [
@@ -291,4 +298,12 @@ def load_predictions(path) -> list[VerdictReport]:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{path}: element {idx} is malformed ({exc})") from exc
+        report = reports[-1]
+        if len(report.evidence) > MAX_EVIDENCE:
+            raise MalformedInput(f"{path}: element {idx} has {len(report.evidence)} "
+                                 f"evidence items, more than {MAX_EVIDENCE}")
+        if report.claim_id in first_idx:
+            raise MalformedInput(f"{path}: elements {first_idx[report.claim_id]} and {idx} "
+                                 f"both hold claim_id {report.claim_id}")
+        first_idx[report.claim_id] = idx
     return reports

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from .bm25 import Bm25Params, build_index, retrieve
-from .corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
+from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
                      KnowledgeStore, VerdictLabel, VerdictReport, load_store, resolve)
 from .errors import MalformedInput, UnknownDocRef
 from .keypoints import KeyPointSet, PromptLibrary, fill_placeholders, make_keypoints
@@ -136,7 +136,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
 
     evidence: list[EvidenceItem] = []
     for k in sorted(questions):
-        if len(evidence) == 4:
+        if len(evidence) == MAX_EVIDENCE:
             break
         question = questions[k]
         if not question:

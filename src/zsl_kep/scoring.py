@@ -12,11 +12,13 @@ are deliberately out; a trivial suffix-stripper can be switched on instead
 (``stemming=True``), off by default because it changes scores.
 
 Predicted evidence strings are matched to gold ones with a max-sum assignment
-(Hungarian), and the matched similarity mass is normalized by the number of
-gold strings. A claim counts toward the conditioned score only when its label
-is right AND its question+answer evidence score reaches the 0.25 gate.
+(exact subset search, exponential only in the smaller side, which predictions
+cap at 4), and the matched similarity mass is normalized by the number of gold
+strings. A claim counts toward the conditioned score only when its label is
+right AND its question+answer evidence score reaches the 0.25 gate.
 """
 
+import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -49,9 +51,7 @@ def _stem(token: str) -> str:
 
 def _terms(text: str, stemming: bool) -> list[str]:
     tokens = tokenize(text)
-    if stemming:
-        tokens = [_stem(t) for t in tokens]
-    return tokens
+    return [_stem(t) for t in tokens] if stemming else tokens
 
 
 def _greedy_alignment(hyp: list[str], ref: list[str], need: dict[str, int],
@@ -165,78 +165,16 @@ def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) ->
     return best
 
 
-def _kuhn_min(cost: list[list[float]]) -> list[int]:
-    """Min-cost complete assignment of all rows (requires rows <= cols);
-    returns the column assigned to each row. Standard potentials method."""
-    n_rows, n_cols = len(cost), len(cost[0])
-    INF = math.inf
-    u = [0.0] * (n_rows + 1)
-    v = [0.0] * (n_cols + 1)
-    p = [0] * (n_cols + 1)  # 1-based: p[j] = row assigned to column j
-    way = [0] * (n_cols + 1)
-    for i in range(1, n_rows + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n_cols + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assign = [-1] * n_rows
-    for j in range(1, n_cols + 1):
-        if p[j]:
-            assign[p[j] - 1] = j - 1
-    return assign
-
-
-def _max_assignment_value(matrix: list[list[float]]) -> float:
-    """Max total of a complete matching of the smaller side."""
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    if n_rows == 0 or n_cols == 0:
-        return 0.0
-    if n_rows > n_cols:
-        matrix = [[matrix[i][j] for i in range(n_rows)] for j in range(n_cols)]
-        n_rows, n_cols = n_cols, n_rows
-    assign = _kuhn_min([[-v for v in row] for row in matrix])
-    return sum(matrix[i][assign[i]] for i in range(n_rows))
-
-
 def hungarian_max(matrix) -> list[tuple[int, int]]:
     """Matching of size min(rows, cols) maximizing the sum of entries.
 
-    Ties between optimal matchings (within 1e-9 of the optimum) break toward
-    the lexicographically smallest (row, col) pair sequence, so results are
-    reproducible.
+    Exact memoized search over column subsets, exponential only in the
+    smaller side (at most MAX_EVIDENCE = 4 rows on the CLI path). Ties between
+    optimal matchings (within 1e-9 of the optimum) break toward the
+    lexicographically smallest (row, col) pair sequence.
     """
     matrix = [list(row) for row in matrix]
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
     for row in matrix:
         if len(row) != n_cols:
             raise ValueError("matrix rows must all have the same length")
@@ -244,30 +182,42 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
             if not math.isfinite(value):
                 raise NonFiniteEntry(f"matrix entry {value!r} is not finite")
     size = min(n_rows, n_cols)
-    if size == 0:
-        return []
 
-    best = _max_assignment_value(matrix)
-    tol = 1e-9 * max(1.0, abs(best))
-    chosen: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
-    fixed = 0.0
+    # some optimal completion gives row i one of its `size` best columns:
+    # the other size-1 pairs can block at most size-1 of them
+    top = [sorted(range(n_cols), key=row.__getitem__, reverse=True)[:size] for row in matrix]
+
+    @functools.cache
+    def best(i: int, used: int, left: int) -> float:
+        """Best total of `left` more pairs from rows i.. and columns not in `used`."""
+        if left == 0:
+            return 0.0
+        if left > n_rows - i:
+            return -math.inf
+        value = best(i + 1, used, left)  # skip row i
+        for j in top[i]:
+            if not used >> j & 1:
+                value = max(value, matrix[i][j] + best(i + 1, used | 1 << j, left - 1))
+        return value
+
+    if n_rows > n_cols:  # bottom-up, so that the recursion stays one level deep
+        for i in range(n_rows - 1, -1, -1):
+            for used in range(1 << n_cols):
+                best(i, used, size - used.bit_count())
+
+    # each row takes the first free column that still completes an optimum
+    target = best(0, 0, size)
+    tol = 1e-9 * max(1.0, abs(target))
+    chosen, used, fixed = [], 0, 0.0
     for i in range(n_rows):
-        if len(chosen) == size:
+        left = size - len(chosen)
+        if left == 0:
             break
-        needed = size - len(chosen) - 1
-        rows_left = list(range(i + 1, n_rows))
         for j in range(n_cols):
-            if j in used_cols:
-                continue
-            cols_left = [y for y in range(n_cols) if y not in used_cols and y != j]
-            if needed > min(len(rows_left), len(cols_left)):
-                continue
-            sub = [[matrix[x][y] for y in cols_left] for x in rows_left]
-            if fixed + matrix[i][j] + _max_assignment_value(sub) >= best - tol:
+            if not used >> j & 1 and (fixed + matrix[i][j] + best(i + 1, used | 1 << j, left - 1)
+                                      >= target - tol):
                 chosen.append((i, j))
-                used_cols.add(j)
-                fixed += matrix[i][j]
+                used, fixed = used | 1 << j, fixed + matrix[i][j]
                 break
     return chosen
 

@@ -189,6 +189,21 @@ def test_score_missing_gold_field(tmp_path, capsys):
     assert main(["score", "--pred", str(out), "--gold", blind_gold]) == 1
 
 
+@pytest.mark.parametrize("fault", ["twelve_evidence_items", "claim_repeated"])
+def test_score_rejects_malformed_predictions(tmp_path, capsys, fault):
+    out = tmp_path / "pred.json"
+    main(["run", "--config", E2E_CONFIG, "--output", str(out)])
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    if fault == "twelve_evidence_items":
+        rows[1]["evidence"] = (rows[1]["evidence"] * 12)[:12]
+    else:
+        rows.append(rows[0])
+    _write_json(out, rows)
+    capsys.readouterr()
+    assert main(["score", "--pred", str(out), "--gold", str(FIXTURE_DIR / "claims.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_inspect_unknown_claim(capsys):
     assert main(["inspect", "--config", E2E_CONFIG, "--claim", "42"]) == 1
     assert "unknown claim id" in capsys.readouterr().err

@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from zsl_kep.corpus import (AnswerType, DocRef, EvidenceItem, VerdictLabel, VerdictReport,
-                            load_claims, load_predictions, load_store, resolve,
+from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, DocRef, EvidenceItem, VerdictLabel,
+                            VerdictReport, load_claims, load_predictions, load_store, resolve,
                             write_predictions)
 from zsl_kep.errors import MalformedInput, UnknownDocRef
 
@@ -219,3 +219,24 @@ def test_load_predictions_wrongly_shaped_row_rejected(tmp_path, field, value):
     row[field] = value
     with pytest.raises(MalformedInput, match="element 0 is malformed"):
         load_predictions(_write(tmp_path / "pred.json", [row]))
+
+
+def _prediction_row(claim_id, n_evidence=1):
+    evidence = {"question": "q?", "answer": "a", "answer_type": "Boolean",
+                "url": "https://u", "scraped_text": "t", "citation_id": "0_0"}
+    return {"claim_id": claim_id, "claim": "c", "pred_label": "Supported",
+            "justification": "", "evidence": [evidence] * n_evidence}
+
+
+def test_load_predictions_rejects_more_than_max_evidence(tmp_path):
+    full = _prediction_row(0, MAX_EVIDENCE)
+    assert len(load_predictions(_write(tmp_path / "ok.json", [full]))[0].evidence) == MAX_EVIDENCE
+    rows = [full, _prediction_row(1, 12)]
+    with pytest.raises(MalformedInput, match="element 1 has 12 evidence items, more than 4"):
+        load_predictions(_write(tmp_path / "pred.json", rows))
+
+
+def test_load_predictions_rejects_repeated_claim_id(tmp_path):
+    rows = [_prediction_row(0), _prediction_row(1), _prediction_row(0)]
+    with pytest.raises(MalformedInput, match="elements 0 and 2 both hold claim_id 0"):
+        load_predictions(_write(tmp_path / "pred.json", rows))

@@ -151,13 +151,23 @@ def test_hungarian_lexicographic_tie_break():
     # all-equal matrix: every permutation optimal; lexicographically smallest wins
     assert hungarian_max([[1, 1], [1, 1]]) == [(0, 0), (1, 1)]
     assert hungarian_max([[1, 1, 1], [1, 1, 1]]) == [(0, 0), (1, 1)]
+    # a near-tie within the 1e-9 tolerance goes to the lower column
+    assert hungarian_max([[1 - 1e-12, 1.0]]) == [(0, 0)]
     rng = random.Random(5)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
+    shapes = ([(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(40)]
+              + [(rng.randint(1, 4), rng.randint(5, 8)) for _ in range(40)]
+              + [(rng.randint(5, 8), rng.randint(1, 3)) for _ in range(40)])
+    for rows, cols in shapes:
         matrix = [[float(rng.randint(0, 2)) for _ in range(cols)] for _ in range(rows)]
         _, expected = brute_force_assignment(matrix)
         assert hungarian_max(matrix) == expected
+    # tall matrices far deeper than the recursion limit, planted optimum
+    tall = [[0.0, 0.0] for _ in range(1500)]
+    tall[1400][0] = tall[1499][1] = 1.0
+    assert hungarian_max(tall) == [(1400, 0), (1499, 1)]
+    tall = [[0.0, 0.0, 0.0] for _ in range(2000)]
+    tall[1400][0] = tall[1999][2] = 1.0
+    assert hungarian_max(tall) == [(0, 1), (1400, 0), (1999, 2)]
 
 
 def test_hungarian_dominant_permutation():
