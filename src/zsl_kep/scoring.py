@@ -24,15 +24,15 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .bm25 import tokenize
-from .corpus import ClaimRecord, VerdictReport
+from .corpus import MAX_EVIDENCE, ClaimRecord, VerdictReport
 from .errors import EmptyReferenceList, MissingGold, NonFiniteEntry
 
 GATE_THRESHOLD = 0.25
 GAMMA = 0.5
 BETA = 3.0
 
-# exhaustive minimal-chunk search gives up after this many nodes and keeps the
-# best alignment found so far (the greedy seed at worst)
+# minimal-chunk search nodes allowed after the first (greedy) complete
+# alignment; past them the best alignment found so far is kept
 _ALIGN_NODE_BUDGET = 200_000
 
 
@@ -54,92 +54,66 @@ def _terms(text: str, stemming: bool) -> list[str]:
     return [_stem(t) for t in tokens] if stemming else tokens
 
 
-def _greedy_alignment(hyp: list[str], ref: list[str], need: dict[str, int],
-                      ref_positions: dict[str, list[int]]) -> int:
-    """Chunk count of a left-to-right maximum alignment; the search's upper
-    bound, without which a long identical pair recurses once per token."""
-    need_left = dict(need)
-    used: set[int] = set()
-    chunks = 0
-    prev_ref = None
-    for tok in hyp:
-        if need_left.get(tok, 0) <= 0:
-            prev_ref = None
-            continue
-        nxt = None if prev_ref is None else prev_ref + 1
-        extend = nxt is not None and nxt < len(ref) and ref[nxt] == tok and nxt not in used
-        # need_left[tok] > 0 leaves some position of tok unused
-        choice = nxt if extend else next(p for p in ref_positions[tok] if p not in used)
-        used.add(choice)
-        need_left[tok] -= 1
-        chunks += 0 if extend else 1
-        prev_ref = choice
-    return chunks
-
-
 def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     """(matches, chunks) of a maximum alignment with minimal chunk count.
 
-    Branch and bound over hypothesis positions; each position is either
-    matched to an unused reference slot of the same token or skipped when
-    enough later occurrences remain. Minimal chunks is NP-hard in general,
-    so a node budget caps pathological repetition-heavy inputs.
+    Depth-first branch and bound over hypothesis positions: each is matched to a free
+    reference slot of its token or skipped while enough later occurrences remain. The
+    current chunk is extended first, so the first complete alignment is the greedy one;
+    after it a node budget caps the search (minimal chunks is NP-hard in general).
     """
-    h_count = Counter(hyp)
-    r_count = Counter(ref)
+    h_count, r_count = Counter(hyp), Counter(ref)
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
-    m = sum(need.values())
+    m, n = sum(need.values()), len(hyp)
     if m == 0:
         return 0, 0
-
-    n = len(hyp)
     ref_positions: dict[str, list[int]] = {}
     for pos, tok in enumerate(ref):
-        if tok in need:
-            ref_positions.setdefault(tok, []).append(pos)
-
-    # later[i]: occurrences of hyp[i] in hyp[i+1:], for skip feasibility
-    later = [0] * n
-    seen: dict[str, int] = {}
+        ref_positions.setdefault(tok, []).append(pos)
+    later, seen = [0] * n, {}  # later[i]: occurrences of hyp[i] in hyp[i+1:]
     for i in range(n - 1, -1, -1):
         later[i] = seen.get(hyp[i], 0)
         seen[hyp[i]] = later[i] + 1
 
-    best = _greedy_alignment(hyp, ref, need, ref_positions)
-    nodes = 0
+    best, nodes = m + 1, 0
+    # frames (i, remaining, used, prev, chunks, todo): a state at position i and its untried
+    # choices for hyp[i], taken from the end of todo: extension to prev + 1, new chunks by
+    # ascending slot, skip (-2, also "no previous slot"); the first frame skips into 0
+    stack = [(-1, m, 0, -2, 0, [-2])]
+    while stack:
+        i, remaining, used, prev, chunks, todo = stack[-1]
+        pos = todo.pop()
+        if not todo:
+            stack.pop()
+        while True:  # take choice pos, then go on with the first choice of the new state
+            if pos >= 0:
+                remaining, used = remaining - 1, used | 1 << pos
+                chunks += pos != prev + 1
+            i, prev = i + 1, pos
+            if chunks >= best or (remaining and i == n):
+                break
+            if remaining == 0:
+                best = chunks
+                break
+            nodes += best <= m  # counted once a complete alignment exists
+            if nodes > _ALIGN_NODE_BUDGET:
+                break
 
-    def search(i: int, remaining: int, need_left: dict[str, int], used: int,
-               prev_ref: "int | None", chunks: int) -> None:
-        nonlocal best, nodes
-        if chunks >= best:
-            return
-        if remaining == 0:
-            best = chunks
-            return
-        if i == n:
-            return
-        nodes += 1
-        if nodes > _ALIGN_NODE_BUDGET:
-            return
-
-        tok = hyp[i]
-        left = need_left.get(tok, 0)
-        if left > 0:
-            candidates = [p for p in ref_positions[tok] if not (used >> p) & 1]
-            if prev_ref is not None and prev_ref + 1 in candidates:
-                candidates.remove(prev_ref + 1)
-                candidates.insert(0, prev_ref + 1)
-            for pos in candidates:
-                extend = prev_ref is not None and pos == prev_ref + 1
-                need_left[tok] = left - 1
-                search(i + 1, remaining - 1, need_left, used | (1 << pos), pos,
-                       chunks if extend else chunks + 1)
-                need_left[tok] = left
-        # skip hypothesis position i if later occurrences can still cover the need
-        if left == 0 or later[i] >= left:
-            search(i + 1, remaining, need_left, used, None, chunks)
-
-    search(0, m, dict(need), 0, None, 0)
+            tok = hyp[i]
+            positions = ref_positions.get(tok, ())
+            todo = [p for p in reversed(positions) if not used >> p & 1]
+            left = need.get(tok, 0) - (len(positions) - len(todo))
+            if left == 0:
+                pos = -2
+                continue
+            if prev + 1 in todo:
+                todo.remove(prev + 1)
+                todo.append(prev + 1)
+            if later[i] >= left:
+                todo.insert(0, -2)
+            pos = todo.pop()
+            if todo:
+                stack.append((i, remaining, used, prev, chunks, todo))
     return m, best
 
 
@@ -227,10 +201,13 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
 
     Each gold entry may be one string or a list of acceptable variants (any
     variant satisfies the match). Returns assignment sum / number of gold
-    entries; an empty prediction list scores 0.
+    entries; an empty prediction list scores 0. More than MAX_EVIDENCE
+    predicted strings raise ValueError, which bounds the assignment cost.
     """
     if not gold_strings:
         raise EmptyReferenceList("evidence_score needs at least one gold string")
+    if len(pred_strings) > MAX_EVIDENCE:
+        raise ValueError(f"{len(pred_strings)} predicted strings, more than {MAX_EVIDENCE}")
     gold_variants = [[g] if isinstance(g, str) else list(g) for g in gold_strings]
     if not pred_strings:
         return 0.0

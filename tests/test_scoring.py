@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsl_kep.corpus import (AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA,
+from zsl_kep import scoring
+from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA,
                             VerdictLabel, VerdictReport)
 from zsl_kep.errors import EmptyReferenceList, MissingGold, NonFiniteEntry
 from zsl_kep.scoring import evidence_score, hungarian_max, meteor, score_run
@@ -73,12 +75,53 @@ def test_meteor_equals_oracle_on_repetition_heavy_pairs(hyp_tokens, ref_tokens):
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
 
 
-def test_meteor_long_identical_pair():
-    # the greedy upper bound keeps the search shallow; without it the first
-    # descent recurses once per token and overflows the stack
-    rng = random.Random(7)
-    text = " ".join(rng.choices([f"w{i}" for i in range(300)], k=1200))
-    assert meteor(text, [text]) == pytest.approx(1.0, abs=1e-9)
+def _blocks_shuffled(words: list[str], size: int) -> list[str]:
+    blocks = [words[start:start + size] for start in range(0, len(words), size)]
+    random.Random(3).shuffle(blocks)
+    return [word for block in blocks for word in block]
+
+
+_DISTINCT = [f"w{i}" for i in range(1200)]
+_REPEATED = random.Random(7).choices(_DISTINCT[:300], k=1200)
+
+
+@pytest.mark.parametrize("hyp, ref", [
+    (_REPEATED, _REPEATED),
+    (_DISTINCT[:1000], _blocks_shuffled(_DISTINCT[:1000], 1)),
+    (_DISTINCT, _blocks_shuffled(_DISTINCT, 3)),
+], ids=["identical_1200", "shuffled_1000", "blocks_shuffled_1200"])
+def test_meteor_long_identical_pair(hyp, ref):
+    # the search keeps its state on an explicit stack, so length is bounded
+    # by the node budget only: its first descent takes one step per token,
+    # which a recursive search pays for with one interpreter frame each
+    if hyp == ref:
+        chunks = 1
+    else:  # distinct words force the alignment: a chunk starts at every break
+        at = {word: j for j, word in enumerate(ref)}
+        chunks = 1 + sum(at[b] != at[a] + 1 for a, b in zip(hyp, hyp[1:]))
+    expected = 1.0 - 0.5 * (chunks / len(hyp)) ** 3
+    assert meteor(" ".join(hyp), [" ".join(ref)]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_meteor_budget_cut_keeps_a_complete_alignment(monkeypatch):
+    # with no nodes to spare the search still returns its first complete
+    # alignment: never worse than all singletons, never better than the oracle
+    monkeypatch.setattr(scoring, "_ALIGN_NODE_BUDGET", 0)
+    rng = random.Random(5)
+    below_oracle = 0
+    for _ in range(400):
+        hyp = rng.choices("abc", k=rng.randint(1, 7))
+        ref = rng.choices("abc", k=rng.randint(1, 7))
+        m = sum((Counter(hyp) & Counter(ref)).values())
+        if m == 0:
+            continue
+        precision, recall = m / len(hyp), m / len(ref)
+        fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+        oracle = independent_meteor(" ".join(hyp), [" ".join(ref)])
+        got = meteor(" ".join(hyp), [" ".join(ref)])
+        assert fmean * (1.0 - scoring.GAMMA) - 1e-12 <= got <= oracle + 1e-12, (hyp, ref)
+        below_oracle += got < oracle - 1e-12
+    assert below_oracle > 0  # the budget did cut some searches short
 
 
 @settings(max_examples=60)
@@ -196,6 +239,14 @@ def test_evidence_score_empty_pred_is_zero():
     assert evidence_score([], ["gold string"]) == 0.0
     with pytest.raises(EmptyReferenceList):
         evidence_score(["pred"], [])
+
+
+def test_evidence_score_rejects_more_than_max_evidence():
+    gold = ["the cat sat on the mat"]
+    assert evidence_score(gold * MAX_EVIDENCE, gold) == pytest.approx(IDENTITY_6, abs=1e-9)
+    message = f"^{MAX_EVIDENCE + 1} predicted strings, more than {MAX_EVIDENCE}$"
+    with pytest.raises(ValueError, match=message):
+        evidence_score(gold * (MAX_EVIDENCE + 1), gold)
 
 
 def test_evidence_score_variant_groups():
