@@ -60,16 +60,26 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     Depth-first branch and bound over hypothesis positions: each is matched to a free
     reference slot of its token or skipped while enough later occurrences remain. The
     current chunk is extended first, so the first complete alignment is the greedy one;
-    after it a node budget caps the search (minimal chunks is NP-hard in general).
+    after it a node budget caps the search (minimal chunks is NP-hard in general). A type
+    in no hypothesis bigram the reference shares can never link, so its matches are counted
+    as one-token chunks and its positions only break runs in the search.
     """
     h_count, r_count = Counter(hyp), Counter(ref)
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
     m, n = sum(need.values()), len(hyp)
     if m == 0:
         return 0, 0
+    shared = set(zip(ref, ref[1:]))
+    linked = {t for pair in zip(hyp, hyp[1:]) if pair in shared for t in pair}
+    if not linked:
+        return m, m
+    need = {t: need[t] for t in linked}  # the other types' positions only break runs
+    lone = m - sum(need.values())
+    m -= lone  # from here on, the matches the search places
     ref_positions: dict[str, list[int]] = {}
     for pos, tok in enumerate(ref):
-        ref_positions.setdefault(tok, []).append(pos)
+        if tok in need:
+            ref_positions.setdefault(tok, []).append(pos)
     later, seen = [0] * n, {}  # later[i]: occurrences of hyp[i] in hyp[i+1:]
     for i in range(n - 1, -1, -1):
         later[i] = seen.get(hyp[i], 0)
@@ -114,7 +124,7 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
             pos = todo.pop()
             if todo:
                 stack.append((i, remaining, used, prev, chunks, todo))
-    return m, best
+    return m + lone, best + lone
 
 
 def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) -> float:
@@ -174,10 +184,11 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
                 value = max(value, matrix[i][j] + best(i + 1, used | 1 << j, left - 1))
         return value
 
-    if n_rows > n_cols:  # bottom-up, so that the recursion stays one level deep
-        for i in range(n_rows - 1, -1, -1):
+    if n_rows > n_cols:  # fill every 64th row bottom-up: no call recurses past 64 rows
+        for i in range(n_rows - 64, 0, -64):
             for used in range(1 << n_cols):
-                best(i, used, size - used.bit_count())
+                if used.bit_count() <= i:  # masks reachable at row i
+                    best(i, used, size - used.bit_count())
 
     # each row takes the first free column that still completes an optimum
     target = best(0, 0, size)

@@ -75,6 +75,33 @@ def test_meteor_equals_oracle_on_repetition_heavy_pairs(hyp_tokens, ref_tokens):
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["the", "of", "cat", "sat", "mat", "dog"]), max_size=8),
+       st.lists(st.sampled_from(["the", "of", "cat", "sat", "mat", "dog"]), max_size=8))
+def test_meteor_equals_oracle_on_mixed_pairs(hyp_tokens, ref_tokens):
+    # with more types than the a/b/c property, many of them sit in no bigram
+    # the reference shares and are counted without search
+    hyp, ref = " ".join(hyp_tokens), " ".join(ref_tokens)
+    assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
+
+
+def test_alignment_without_shared_bigram_is_all_single_tokens():
+    hyp, ref = "b a d c a x".split(), "a b c d a".split()
+    assert scoring._alignment(hyp, ref) == (5, 5)
+    assert meteor(" ".join(hyp), [" ".join(ref)]) == pytest.approx(
+        independent_meteor(" ".join(hyp), [" ".join(ref)]), abs=1e-12)
+
+
+def test_alignment_exact_where_the_full_search_hits_the_budget():
+    # a search over all types runs out of nodes at 15 chunks; with the types
+    # in no shared bigram left out, it reaches the minimum, 14, within budget
+    hyp = ("w28 w21 on is the and to w5 w20 w7 w18 a for w32 w38 w36 what and of w28 w37 on "
+           "w17 w17 is the the a the of w28 what w14 on on a in of w2 in").split()
+    ref = ("to w25 w18 w3 in and what is and what w4 w3 and for w3 w26 w32 to on on w18 the "
+           "a to is and on").split()
+    assert scoring._alignment(hyp, ref) == (16, 14)
+
+
 def _blocks_shuffled(words: list[str], size: int) -> list[str]:
     blocks = [words[start:start + size] for start in range(0, len(words), size)]
     random.Random(3).shuffle(blocks)
