@@ -5,25 +5,25 @@ The retrieval unit is the individual passage, scored with
     score(d, q) = sum over unique query terms t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg_len))
 
-with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive
-for every indexed term, so any passage sharing a term with the query scores
-above zero and zero-score passages are never returned.
+with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive,
+so any passage sharing a term with the query scores above zero and
+zero-score passages are never returned.
 
-The index precomputes what does not depend on the query: each passage's
-length norm ``k1 * (1 - b + b * len(d) / avg_len)``, and per term the
-ascending ordinals of the passages holding it (``postings``, so df is its
-length) with the aligned term frequencies (``term_freqs``). A query then
-costs one idf per term, one score term per posting and a heap selection of
-the top k. Per-posting impacts are deliberately not precomputed: that costs
-more build time and memory than the queries of one claim save. Scores are
-the same floats, summed in the same order, as a direct evaluation of the
-formula.
+An index serves the queries it was built for and holds their terms only:
+scoring needs just their df and every passage's length (Robertson &
+Zaragoza 2009), and a claim's queries use a few dozen terms of a store of
+up to tens of thousands of passages. Per term it keeps the ascending
+ordinals of the passages holding it (``postings``, so df is its length;
+empty if none does) with the aligned term frequencies (``term_freqs``), and
+per passage the length norm. A term of no indexed query raises ``KeyError``.
+Per-posting impacts are not precomputed: they would save about a tenth of a
+small retrieval time for more code. Scores are the same floats, summed in
+the same order, as a direct evaluation of the formula.
 """
 
 import heapq
 import math
 import re
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .corpus import DocRef, KnowledgeStore, iter_docs
@@ -61,16 +61,18 @@ class Bm25Index:
     params: Bm25Params = field(default_factory=Bm25Params)
 
 
-def build_index(store: KnowledgeStore, params: "Bm25Params | None" = None) -> Bm25Index:
-    """Index every non-empty passage; empty ones stay out so they can never
-    be retrieved, while their positional ids remain stable."""
+def build_index(store: KnowledgeStore, queries: list[str],
+                params: "Bm25Params | None" = None) -> Bm25Index:
+    """Index the terms of ``queries`` over every non-empty passage; empty
+    ones stay out so they can never be retrieved, while their positional ids
+    remain stable."""
     params = params or Bm25Params()
+    # two flat int lists per term, not a tuple per posting: a third of the memory
+    postings: dict[str, list[int]] = {t: [] for q in queries for t in tokenize(q)}
+    term_freqs: dict[str, list[int]] = {term: [] for term in postings}
+    vocab = set(postings)
     doc_refs: list[DocRef] = []
     doc_lengths: list[int] = []
-    # two flat int lists per term, not a tuple per posting: a third of the
-    # memory, and nothing for the cycle collector to track
-    postings: defaultdict[str, list[int]] = defaultdict(list)
-    term_freqs: defaultdict[str, list[int]] = defaultdict(list)
 
     for ref, passage in iter_docs(store):
         if not passage:
@@ -79,11 +81,9 @@ def build_index(store: KnowledgeStore, params: "Bm25Params | None" = None) -> Bm
         ordinal = len(doc_refs)
         doc_refs.append(ref)
         doc_lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
+        for term in vocab.intersection(tokens):
             postings[term].append(ordinal)
-            term_freqs[term].append(tf)
-    # a lookup of an unindexed term must raise or miss, never add the term
-    postings.default_factory = term_freqs.default_factory = None
+            term_freqs[term].append(tokens.count(term))
 
     n_docs = len(doc_refs)
     avg = sum(doc_lengths) / n_docs if n_docs else 0.0
@@ -103,7 +103,7 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     scores: dict[int, float] = {}
     get = scores.get
     for term in dict.fromkeys(tokenize(query)):
-        plist = index.postings.get(term)
+        plist = index.postings[term]
         if not plist:
             continue
         df = len(plist)

@@ -83,6 +83,8 @@ def cmd_run(args) -> int:
     _log(f"truncated runs: {truncated}")
     _log(f"parse fallbacks: {fallbacks}")
     _log(f"failed claims: {failed}")
+    _log(f"gateway overflows: {gateway.overflow_count}")
+    _log(f"gateway rate limits: {gateway.rate_limit_count}")
     _log(f"wrote predictions to {cfg.output_path}")
     return 2 if failed else 0
 
@@ -118,7 +120,6 @@ def cmd_inspect(args) -> int:
         _log(f"error: missing knowledge store {store_path}")
         return 1
     store = load_store(store_path, record.claim_id)
-    index = build_index(store, Bm25Params(k1=cfg.k1, b=cfg.b))
     library = PromptLibrary.load(cfg.prompt_overrides)
 
     print(f"claim {record.claim_id}: {record.text}")
@@ -143,6 +144,7 @@ def cmd_inspect(args) -> int:
         for i, kp in enumerate(keypoints.combined, start=1):
             print(f"  C{i}. {kp}")
 
+    index = build_index(store, keypoints.all_queries(record.text), Bm25Params(k1=cfg.k1, b=cfg.b))
     groups = run_retrieval(index, store, keypoints, record.text, cfg)
     print(f"groups: {len(groups)}")
     for pos, group in enumerate(groups, start=1):

@@ -8,8 +8,9 @@ rather than no report at all.
 """
 
 import os
+import queue
 import re
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import threading
 from dataclasses import dataclass, field
 
 from .bm25 import Bm25Params, build_index, retrieve
@@ -254,10 +255,9 @@ def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
 
 def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
               library: PromptLibrary) -> VerdictReport:
-    """Full pipeline for one claim: index, key points, retrieval, prediction."""
+    """Full pipeline for one claim: key points, index of their terms, retrieval, prediction."""
     diagnostics = Diagnostics()
 
-    index = build_index(store, Bm25Params(k1=cfg.k1, b=cfg.b))
     keypoints, fallbacks = make_keypoints(
         gateway, record.text, claim_id=record.claim_id, library=library,
         temperature=cfg.temperature, top_p=cfg.top_p,
@@ -265,6 +265,7 @@ def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
     diagnostics.parse_fallbacks += fallbacks
     diagnostics.n_keypoints = keypoints.n
 
+    index = build_index(store, keypoints.all_queries(record.text), Bm25Params(k1=cfg.k1, b=cfg.b))
     groups = run_retrieval(index, store, keypoints, record.text, cfg)
     return predict_with_retry(gateway, groups, record.text, store, cfg,
                               claim_id=record.claim_id, diagnostics=diagnostics,
@@ -277,7 +278,7 @@ def store_path_for(store_dir: str, claim_id: int) -> str:
 
 def run_batch(claims: list[ClaimRecord], gateway, cfg,
               completed: "list[VerdictReport] | None" = None) -> list[VerdictReport]:
-    """Process claims on a small worker pool; results come back in claim
+    """Process claims on a few worker threads; results come back in claim
     order regardless of completion order, so runs are reproducible.
 
     When a ``completed`` list is given, every finished report is appended to
@@ -301,15 +302,36 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
     if cfg.workers <= 1 or len(claims) <= 1:
         return [done(work(record)) for record in claims]
 
+    # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
+    # for claims still in flight (an HTTP call may take minutes)
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for pos in range(len(claims)):
+        todo.put(pos)
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def worker() -> None:
+        while not stop.is_set():
+            try:
+                pos = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                finished.put((pos, work(claims[pos]), None))
+            except BaseException as exc:
+                finished.put((pos, None, exc))
+                return
+
+    for _ in range(min(cfg.workers, len(claims))):
+        threading.Thread(target=worker, daemon=True).start()
     results: list["VerdictReport | None"] = [None] * len(claims)
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
     try:
-        futures = {pool.submit(work, record): pos for pos, record in enumerate(claims)}
-        for future in as_completed(futures):
-            results[futures[future]] = done(future.result())
+        for _ in claims:
+            pos, report, exc = finished.get()
+            if exc is not None:
+                raise exc
+            results[pos] = done(report)
     except BaseException:
-        # do not wait for claims still in flight (an HTTP call may take minutes)
-        pool.shutdown(wait=False, cancel_futures=True)
+        stop.set()  # claims not yet started are dropped, those in flight abandoned
         raise
-    pool.shutdown()
     return results  # type: ignore[return-value]

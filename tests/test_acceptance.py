@@ -49,18 +49,20 @@ def test_criterion_1_bm25_oracle_equivalence():
                     for _ in range(n_docs)]
         split = rng.randint(0, n_docs)
         store = make_store([passages[:split], passages[split:]])
-        index = build_index(store)
         refs = [DocRef(0, i) for i in range(split)] + \
                [DocRef(1, i) for i in range(n_docs - split)]
-
+        cases = []
         for _ in range(10):
             query = " ".join(rng.choices(vocab + ["zzz"], k=rng.randint(1, 4)))
+            cases.append((query, rng.choice([0, 3, n_docs, n_docs + 5])))
+        index = build_index(store, [query for query, _ in cases])
+
+        for query, top_k in cases:
             oracle = naive_bm25_scores(passages, query)
             expected = sorted(
                 ((s, ref) for s, ref in zip(oracle, refs) if s > 0),
                 key=lambda pair: (-pair[0], pair[1].url_index, pair[1].text_index),
             )
-            top_k = rng.choice([0, 3, n_docs, n_docs + 5])
             got = retrieve(index, query, top_k)
             want = expected[:top_k]
             if [d.ref for d in got] != [ref for _, ref in want]:
@@ -152,8 +154,9 @@ def test_criterion_5_truncation_protocol():
     kp_passages = [f"gamma beacon log entry {i}" for i in range(14)]
     store = make_store([claim_passages, kp_passages])
     cfg = RunConfig()
-    groups = run_retrieval(build_index(store), store, KeyPointSet(["gamma beacon"], []),
-                           "alpha sensor", cfg)
+    keypoints = KeyPointSet(["gamma beacon"], [])
+    groups = run_retrieval(build_index(store, keypoints.all_queries("alpha sensor")), store,
+                           keypoints, "alpha sensor", cfg)
     available = [len(g.docs) for g in groups]  # [12, 60]
 
     response = ("EVIDENCE:\nQ1: q?\nA1: a\nTYPE1: Abstractive\nCITE1: 0_0\n\n"
@@ -259,12 +262,13 @@ def test_criterion_8_keypoint_retrieval_recalls_more_gold():
     store = make_store([gold_passages, claim_bait, noise])
     gold_refs = {DocRef(0, i) for i in range(len(gold_passages))}
 
-    index = build_index(store)
     cfg = RunConfig()
     claim = "the town census figure doubled"
+    keypoints = KeyPointSet(["harvest tally", "grain ledger"], ["the grain ledger harvest tally"])
+    # the claim is the last of the augmented queries, so this index serves both runs
+    index = build_index(store, keypoints.all_queries(claim))
 
     claim_only = run_retrieval(index, store, KeyPointSet(), claim, cfg)
-    keypoints = KeyPointSet(["harvest tally", "grain ledger"], ["the grain ledger harvest tally"])
     augmented = run_retrieval(index, store, keypoints, claim, cfg)
 
     recall_claim = {ref for g in claim_only for ref, _ in g.docs} & gold_refs

@@ -20,7 +20,7 @@ def test_tokenize_rules():
 
 def test_build_index_counts():
     store = make_store([["a b", "c d", "e"], ["f g", "h"]])
-    index = build_index(store)
+    index = build_index(store, ["a h"])
     assert index.n_docs == 5
     assert index.doc_refs[0] == DocRef(0, 0)
     assert index.doc_refs[4] == DocRef(1, 1)
@@ -29,7 +29,7 @@ def test_build_index_counts():
 
 def test_build_index_skips_empty_passage():
     store = make_store([["a b", "", "c"]])
-    index = build_index(store)
+    index = build_index(store, ["a c"])
     assert index.n_docs == 2
     assert DocRef(0, 1) not in index.doc_refs
     # neighbouring ids unchanged
@@ -37,12 +37,28 @@ def test_build_index_skips_empty_passage():
 
 
 def test_doc_frequencies_by_hand():
-    index = build_index(make_store([["a b", "b c b"]]))
+    index = build_index(make_store([["a b", "b c b"]]), ["a b", "c"])
     assert {term: len(plist) for term, plist in index.postings.items()} == {"a": 1, "b": 2, "c": 1}
     assert index.postings["b"] == [0, 1]
     assert index.term_freqs["b"] == [1, 2]
     with pytest.raises(KeyError):  # a miss does not grow the index
         index.postings["zz"]
+
+
+def test_indexed_term_without_posting_has_no_hits():
+    index = build_index(make_store([["a b", "b c"]]), ["a zz"])
+    assert index.postings["zz"] == [] and index.term_freqs["zz"] == []
+    assert retrieve(index, "zz", 10) == []
+    assert [d.ref for d in retrieve(index, "zz a", 10)] == [DocRef(0, 0)]
+
+
+def test_unindexed_query_term_raises():
+    index = build_index(make_store([["a b", "b c"]]), ["a"])
+    assert set(index.postings) == set(index.term_freqs) == {"a"}
+    # "b" is in the store but in no indexed query: never scored as df = 0
+    for query in ("b", "a b", "qq"):
+        with pytest.raises(KeyError):
+            retrieve(index, query, 10)
 
 
 def _scores(index, query):
@@ -52,7 +68,7 @@ def _scores(index, query):
 
 
 def test_score_hand_evaluated():
-    index = build_index(make_store([["a b", "b c"]]))
+    index = build_index(make_store([["a b", "b c"]]), ["a", "b"])
     [hit] = retrieve(index, "a", 10)
     assert hit.ref == DocRef(0, 0)
     assert hit.score == pytest.approx(math.log(2), abs=1e-12)
@@ -62,7 +78,7 @@ def test_score_hand_evaluated():
 
 
 def test_score_absent_terms_contribute_zero():
-    index = build_index(make_store([["a b", "b c"]]))
+    index = build_index(make_store([["a b", "b c"]]), ["a zz qq"])
     assert _scores(index, "zz") == {}
     assert _scores(index, "zz qq") == {}
     assert _scores(index, "a zz qq") == _scores(index, "a")
@@ -71,13 +87,13 @@ def test_score_absent_terms_contribute_zero():
 
 
 def test_retrieve_top_k_zero_and_no_match():
-    index = build_index(make_store([["a b", "b c"]]))
+    index = build_index(make_store([["a b", "b c"]]), ["a", "zz qq"])
     assert retrieve(index, "a", 0) == []
     assert retrieve(index, "zz qq", 10) == []
 
 
 def test_retrieve_empty_store():
-    index = build_index(make_store([]))
+    index = build_index(make_store([]), ["anything"])
     assert retrieve(index, "anything", 5) == []
 
 
@@ -88,8 +104,8 @@ def test_retrieve_matches_naive_oracle():
         passages = [" ".join(rng.choices(vocab, k=rng.randint(1, 8)))
                     for _ in range(rng.randint(1, 12))]
         store = make_store([passages])
-        index = build_index(store)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
+        index = build_index(store, [query])
 
         oracle = naive_bm25_scores(passages, query)
         expected = sorted(
@@ -104,7 +120,7 @@ def test_retrieve_matches_naive_oracle():
 
 def test_retrieve_prefix_property():
     store = make_store([["a b c", "a b", "a", "b c", "c c c", "a c"]])
-    index = build_index(store)
+    index = build_index(store, ["a c"])
     for k in range(6):
         shorter = [d.ref for d in retrieve(index, "a c", k)]
         longer = [d.ref for d in retrieve(index, "a c", k + 1)]
@@ -114,7 +130,7 @@ def test_retrieve_prefix_property():
 def test_scores_non_increasing_and_ties_by_ref():
     # identical docs tie; order must be ascending DocRef
     store = make_store([["a x", "a x"], ["a x"]])
-    index = build_index(store)
+    index = build_index(store, ["a"])
     got = retrieve(index, "a", 10)
     assert [d.ref for d in got] == [DocRef(0, 0), DocRef(0, 1), DocRef(1, 0)]
     assert all(got[i].score >= got[i + 1].score for i in range(len(got) - 1))
@@ -123,7 +139,7 @@ def test_scores_non_increasing_and_ties_by_ref():
 def test_idf_positive_for_all_indexed_terms():
     # "the" appears in every doc; idf must still be positive
     store = make_store([["the a", "the b", "the c", "the d"]])
-    index = build_index(store)
+    index = build_index(store, ["the"])
     scores = _scores(index, "the")
     assert len(scores) == 4
     assert all(s > 0 for s in scores.values())
@@ -132,8 +148,8 @@ def test_idf_positive_for_all_indexed_terms():
 def test_unrelated_doc_does_not_change_match_set():
     base = [["a b", "b c", "c d"]]
     with_extra = [["a b", "b c", "c d", "zz qq"]]
-    idx1 = build_index(make_store(base))
-    idx2 = build_index(make_store(with_extra))
+    idx1 = build_index(make_store(base), ["b"])
+    idx2 = build_index(make_store(with_extra), ["b"])
     set1 = {d.ref for d in retrieve(idx1, "b", 10)}
     set2 = {d.ref for d in retrieve(idx2, "b", 10)}
     assert set1 == set2
@@ -144,7 +160,7 @@ def test_unrelated_doc_does_not_change_match_set():
        st.text(alphabet="ab ", min_size=1, max_size=8))
 def test_postings_score_equals_naive_recount(passages, query):
     store = make_store([passages])
-    index = build_index(store)
+    index = build_index(store, [query])
     oracle = naive_bm25_scores([p for p in passages if p], query)
     kept = [i for i, p in enumerate(passages) if p]
     scores = _scores(index, query)
@@ -183,13 +199,16 @@ def test_retrieve_equals_exact_oracle_prefix():
     rng = random.Random(20240)
     for _ in range(120):
         vocab, weights, passage_lists = _zipf_passage_lists(rng)
-        index = build_index(make_store(passage_lists))
         kept = [(DocRef(u, t), passage) for u, passages in enumerate(passage_lists)
                 for t, passage in enumerate(passages) if passage]
         n = sum(len(passages) for passages in passage_lists)
+        queries = []
         for _ in range(4):
             terms = rng.choices(vocab, weights, k=rng.randint(1, 8))
-            query = " ".join(terms + rng.choice([[], [terms[0]], ["zzz"]]))
+            queries.append(" ".join(terms + rng.choice([[], [terms[0]], ["zzz"]])))
+        # indexed from the queries it answers, "zzz" (in no passage) included
+        index = build_index(make_store(passage_lists), queries)
+        for query in queries:
             oracle = naive_bm25_scores([passage for _, passage in kept], query)
             expected = sorted(
                 ((ref, s) for (ref, _), s in zip(kept, oracle) if s > 0.0),

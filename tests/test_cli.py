@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import zsl_kep
 from zsl_kep.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
@@ -22,6 +27,14 @@ def test_run_happy_path(tmp_path, capsys):
     assert "claims processed: 4" in err
     data = json.loads(out.read_text(encoding="utf-8"))
     assert len(data) == 4
+
+
+def test_run_summary_prints_gateway_counters(tmp_path, capsys):
+    out = tmp_path / "pred.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "claims processed: 4", "truncated runs: 0", "parse fallbacks: 1", "failed claims: 0",
+        "gateway overflows: 0", "gateway rate limits: 0", f"wrote predictions to {out}"]
 
 
 def test_run_print_config(tmp_path, capsys):
@@ -157,6 +170,51 @@ def test_run_interrupt_flushes_completed_reports(tmp_path, capsys, monkeypatch):
     assert "interrupted" in capsys.readouterr().err
     pred = json.loads((tmp_path / "pred.json").read_text(encoding="utf-8"))
     assert [row["claim_id"] for row in pred] == [0, 1]
+
+
+def test_run_summary_counts_overflows_and_rate_limits(tmp_path, capsys):
+    evidence = ("EVIDENCE:\nQ1: q?\nA1: a\nTYPE1: Abstractive\nCITE1: 0_0\n\n"
+                "JUSTIFICATION: j\n\nVERDICT: Supported")
+    script = {"0": [{"error": "rate_limited"}, "PRIMITIVE:\n1. test point",
+                    {"error": "context_overflow"}, evidence],
+              "1": ["PRIMITIVE:\n1. test point", evidence]}
+    config = _minimal_setup(tmp_path, script=script)
+    assert main(["run", "--config", config]) == 0
+    err = capsys.readouterr().err
+    assert "truncated runs: 1\n" in err
+    assert "failed claims: 0\ngateway overflows: 1\ngateway rate limits: 1\n" in err
+
+
+# Run in a fresh interpreter: claim 0 makes two 3 s gateway calls on a worker
+# thread while claim 1 raises KeyboardInterrupt, as Ctrl-C would.
+_INTERRUPT_CHILD = """
+import sys, time
+import zsl_kep.cli as cli
+from zsl_kep.llm_gateway import TransportFailure
+
+class SlowGateway:
+    def complete(self, request, claim_id=None):
+        if claim_id == 0:
+            time.sleep(3)
+            raise TransportFailure("slow call ended")
+        time.sleep(0.2)  # claim 0 is in its first call by now
+        print(time.time(), flush=True)
+        raise KeyboardInterrupt
+
+cli._build_gateway = lambda cfg: SlowGateway()
+sys.exit(cli.main(["run", "--config", sys.argv[1]]))
+"""
+
+
+def test_run_interrupt_exits_without_waiting_for_claims_in_flight(tmp_path):
+    config = _minimal_setup(tmp_path)  # two claims on the default four workers
+    env = {**os.environ, "PYTHONPATH": str(Path(zsl_kep.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _INTERRUPT_CHILD, config], env=env,
+                          capture_output=True, text=True, timeout=60)
+    exited = time.time()
+    assert proc.returncode == 130, proc.stderr
+    assert "interrupted: flushed 0 completed reports" in proc.stderr
+    assert exited - float(proc.stdout.split()[0]) < 2.0
 
 
 def test_score_self_and_report(tmp_path, capsys):

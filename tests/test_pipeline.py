@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import threading
 
 import pytest
@@ -20,9 +21,10 @@ CFG = RunConfig()
 LIBRARY = PromptLibrary.load()
 
 
-def _index_store(passage_lists):
+def _index_store(passage_lists, keypoints, claim):
+    """A store and its index over the queries of ``keypoints`` and ``claim``."""
     store = make_store(passage_lists)
-    return build_index(store), store
+    return build_index(store, keypoints.all_queries(claim)), store
 
 
 GOOD_RESPONSE = """EVIDENCE:
@@ -37,7 +39,7 @@ VERDICT: Supported"""
 
 
 def test_run_retrieval_claim_only():
-    index, store = _index_store([["alpha one", "alpha two", "beta"]])
+    index, store = _index_store([["alpha one", "alpha two", "beta"]], KeyPointSet(), "alpha")
     groups = run_retrieval(index, store, KeyPointSet(), "alpha", CFG)
     assert len(groups) == 1
     assert groups[0].kind == "claim"
@@ -46,8 +48,8 @@ def test_run_retrieval_claim_only():
 
 
 def test_run_retrieval_group_shape_and_order():
-    index, store = _index_store([["alpha", "beta", "gamma", "delta", "alpha beta"]])
     kps = KeyPointSet(["alpha", "beta", "gamma"], ["alpha beta"])
+    index, store = _index_store([["alpha", "beta", "gamma", "delta", "alpha beta"]], kps, "delta")
     groups = run_retrieval(index, store, kps, "delta", CFG)
     assert [g.kind for g in groups] == ["keypoint"] * 4 + ["claim"]
     assert [g.query for g in groups] == ["alpha", "beta", "gamma", "alpha beta", "delta"]
@@ -59,8 +61,9 @@ def test_run_retrieval_group_shape_and_order():
 def test_run_retrieval_first_occurrence_dedup():
     # passage (0,0) matches both the key point and the claim; it must appear
     # only in the earlier (key point) group
-    index, store = _index_store([["shared term claim", "claim only words", "other filler"]])
     kps = KeyPointSet(["shared term"], [])
+    index, store = _index_store([["shared term claim", "claim only words", "other filler"]],
+                                kps, "claim words")
     groups = run_retrieval(index, store, kps, "claim words", CFG)
     kp_refs = {ref for ref, _ in groups[0].docs}
     claim_refs = {ref for ref, _ in groups[1].docs}
@@ -74,8 +77,8 @@ def test_run_retrieval_unique_keypoint_match_stays_in_keypoint_group():
     # scores on the claim query; dedup keeps it in kp1's group only
     passages = [[f"filler text number {i}" for i in range(6)] for _ in range(4)]
     passages.append(["x a", "x b", "unique marker claimword", "x c", "x d", "x e"])
-    index, store = _index_store(passages)
     kps = KeyPointSet(["unique marker"], [])
+    index, store = _index_store(passages, kps, "claimword number")
     groups = run_retrieval(index, store, kps, "claimword number", CFG)
     assert DocRef(4, 2) in {ref for ref, _ in groups[0].docs}
     assert DocRef(4, 2) not in {ref for ref, _ in groups[1].docs}
@@ -104,9 +107,9 @@ def test_unified_string_skips_empty_groups():
 
 
 def test_unified_string_ids_resolve():
-    index, store = _index_store([["alpha beta", "beta gamma", "gamma delta"],
-                                 ["delta alpha", "epsilon zeta"]])
     kps = KeyPointSet(["beta", "delta"], [])
+    index, store = _index_store([["alpha beta", "beta gamma", "gamma delta"],
+                                 ["delta alpha", "epsilon zeta"]], kps, "alpha gamma")
     groups = run_retrieval(index, store, kps, "alpha gamma", CFG)
     unified = build_unified_string(groups)
     ids = re.findall(r"<(\d+_\d+)>", unified)
@@ -132,9 +135,9 @@ def test_prediction_prompt_contract():
 
 
 def test_prediction_prompt_excludes_keypoints():
-    index, store = _index_store([["alpha beta", "beta gamma"]])
     marker = "zz-keypoint-marker-never-in-corpus"
     kps = KeyPointSet([marker], [])
+    index, store = _index_store([["alpha beta", "beta gamma"]], kps, "alpha")
     groups = run_retrieval(index, store, kps, "alpha", CFG)
     _, user = build_prediction_prompt("alpha", build_unified_string(groups), LIBRARY)
     assert marker not in user
@@ -230,8 +233,8 @@ def _truncation_fixture():
     claim_passages = [f"alpha reading number {i} from the sensor" for i in range(60)]
     kp_passages = [f"gamma beacon log entry {i}" for i in range(14)]
     store = make_store([claim_passages, kp_passages])
-    index = build_index(store)
     kps = KeyPointSet(["gamma beacon"], [])
+    index = build_index(store, kps.all_queries("alpha sensor"))
     groups = run_retrieval(index, store, kps, "alpha sensor", CFG)
     assert len(groups[0].docs) == 12  # keypoint group at its cap
     assert len(groups[1].docs) == 60  # claim group has all alpha docs
@@ -280,7 +283,7 @@ def test_predict_halves_caps_on_second_overflow():
 
 def test_group_scores_align_with_docs_through_truncation():
     store, groups = _truncation_fixture()
-    index = build_index(store)
+    index = build_index(store, [group.query for group in groups])
     for group in groups:
         score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, index.n_docs)}
         assert group.scores == [score_of[ref] for ref, _ in group.docs]
@@ -354,6 +357,36 @@ def test_run_claim_end_to_end_with_mock():
     assert report.evidence[0].scraped_text == "the comet passed in 1910"
 
 
+def test_run_claim_indexes_only_the_query_terms_after_key_points(monkeypatch):
+    import zsl_kep.pipeline as pipeline_mod
+    calls = []
+    real_keypoints, real_build = pipeline_mod.make_keypoints, pipeline_mod.build_index
+
+    def recording_keypoints(*args, **kwargs):
+        calls.append("make_keypoints")
+        return real_keypoints(*args, **kwargs)
+
+    def recording_build(*args, **kwargs):
+        index = real_build(*args, **kwargs)
+        calls.append(("build_index", set(index.postings)))
+        return index
+
+    monkeypatch.setattr(pipeline_mod, "make_keypoints", recording_keypoints)
+    monkeypatch.setattr(pipeline_mod, "build_index", recording_build)
+    store = make_store([["the comet passed in 1910", "observers recorded the comet"],
+                        ["unrelated filler text", "more filler"]])
+    script = {3: [
+        "PRIMITIVE:\n1. comet passed\n2. Halley sighting\nCOMBINED:\n1. comet sighting",
+        "EVIDENCE:\nQ1: q?\nA1: a\nTYPE1: Extractive\nCITE1: 0_0\n\n"
+        "JUSTIFICATION: j\n\nVERDICT: Supported",
+    ]}
+    record = ClaimRecord(claim_id=3, text="the comet passed in 1910")
+    run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
+    # "halley" and "sighting" are in no passage but are indexed all the same
+    assert calls == ["make_keypoints", ("build_index", {
+        "comet", "passed", "halley", "sighting", "the", "in", "1910"})]
+
+
 def test_run_claim_keypoint_failure_still_produces_report():
     store = make_store([["alpha beta"]])
     script = {0: [
@@ -407,3 +440,49 @@ def test_run_batch_interrupt_does_not_wait_for_claims_in_flight(tmp_path, releas
     caller.join(2.0)
     assert not caller.is_alive(), "run_batch waited for the claim still in flight"
     assert outcome == ["interrupted"]
+
+
+def test_run_batch_many_workers_keeps_claim_order(tmp_path):
+    n = 120
+    store_dir = tmp_path / "stores"
+    store_dir.mkdir()
+    for cid in range(n):
+        (store_dir / f"{cid}.json").write_text(
+            json.dumps({"url": "u", "url2text": [f"alpha {cid}", "beta"]}) + "\n",
+            encoding="utf-8")
+    claims = [ClaimRecord(claim_id=cid, text=f"alpha {cid}") for cid in range(n)]
+    script = {cid: ["PRIMITIVE:\n1. alpha", GOOD_RESPONSE.replace("3_1", "0_0")]
+              for cid in range(n)}
+    backend = MockBackend(script)
+    completed, outcome = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: outcome.append(run_batch(
+            claims, Gateway(backend), RunConfig(store_dir=str(store_dir), workers=16),
+            completed=completed)), daemon=True)
+        caller.start()
+        caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(outcome) == 1
+    assert [r.claim_id for r in outcome[0]] == list(range(n))
+    assert all(r.verdict is VerdictLabel.SUPPORTED for r in outcome[0])
+    assert sorted(r.claim_id for r in completed) == list(range(n))
+    assert all(len(backend.calls_for(cid)) == 2 for cid in range(n))
+
+
+def test_run_batch_raises_a_worker_error(tmp_path):
+    store_dir = tmp_path / "stores"
+    store_dir.mkdir()
+    for cid in (0, 1, 2):
+        (store_dir / f"{cid}.json").write_text(
+            json.dumps({"url": "u", "url2text": ["alpha beta"]}) + "\n", encoding="utf-8")
+    claims = [ClaimRecord(claim_id=cid, text="alpha") for cid in (0, 1, 2)]
+
+    class _Gateway:
+        def complete(self, request, claim_id=None):
+            raise RuntimeError(f"bug in claim {claim_id}")
+
+    with pytest.raises(RuntimeError, match="bug in claim"):
+        run_batch(claims, _Gateway(), RunConfig(store_dir=str(store_dir), workers=2))
