@@ -2,7 +2,7 @@
 per-claim knowledge stores, zero-shot LLM verdicts with cited evidence, and
 Hungarian-METEOR scoring with the conditioned-label metric."""
 
-from .bm25 import Bm25Index, Bm25Params, ScoredDoc, build_index, retrieve, tokenize
+from .bm25 import Bm25Index, ScoredDoc, build_index, retrieve, tokenize
 from .config import RunConfig
 from .corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem, GoldQA,
                      KnowledgeStore, UrlEntry, VerdictLabel, VerdictReport, load_claims,

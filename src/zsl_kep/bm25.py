@@ -14,17 +14,18 @@ scoring needs just their df and every passage's length (Robertson &
 Zaragoza 2009), and a claim's queries use a few dozen terms of a store of
 up to tens of thousands of passages. Per term it keeps the ascending
 ordinals of the passages holding it (``postings``, so df is its length;
-empty if none does) with the aligned term frequencies (``term_freqs``), and
-per passage the length norm. A term of no indexed query raises ``KeyError``.
-Per-posting impacts are not precomputed: they would save about a tenth of a
-small retrieval time for more code. Scores are the same floats, summed in
-the same order, as a direct evaluation of the formula.
+empty if none does) with the aligned term frequencies (``term_freqs``), per
+passage the length norm (``k1`` and ``b`` folded in), and ``k1`` itself. A
+term of no indexed query raises ``KeyError``. Per-posting impacts are not
+precomputed: they would save about a tenth of a small retrieval time for
+more code. Scores are the same floats, summed in the same order, as a
+direct evaluation of the formula.
 """
 
 import heapq
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import DocRef, KnowledgeStore, iter_docs
 
@@ -35,12 +36,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on every maximal run of non-alphanumeric characters."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
 
 
 @dataclass
@@ -58,15 +53,14 @@ class Bm25Index:
     postings: dict[str, list[int]]
     term_freqs: dict[str, list[int]]
     n_docs: int
-    params: Bm25Params = field(default_factory=Bm25Params)
+    k1: float
 
 
-def build_index(store: KnowledgeStore, queries: list[str],
-                params: "Bm25Params | None" = None) -> Bm25Index:
+def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
+                b: float = 0.75) -> Bm25Index:
     """Index the terms of ``queries`` over every non-empty passage; empty
     ones stay out so they can never be retrieved, while their positional ids
     remain stable."""
-    params = params or Bm25Params()
     # two flat int lists per term, not a tuple per posting: a third of the memory
     postings: dict[str, list[int]] = {t: [] for q in queries for t in tokenize(q)}
     term_freqs: dict[str, list[int]] = {term: [] for term in postings}
@@ -87,10 +81,9 @@ def build_index(store: KnowledgeStore, queries: list[str],
 
     n_docs = len(doc_refs)
     avg = sum(doc_lengths) / n_docs if n_docs else 0.0
-    k1, b = params.k1, params.b
     # avg is 0 only when no passage has a token, and then no posting needs a norm
     norms = [k1 * (1.0 - b + b * length / avg) for length in doc_lengths] if avg else []
-    return Bm25Index(doc_refs, doc_lengths, avg, norms, postings, term_freqs, n_docs, params)
+    return Bm25Index(doc_refs, doc_lengths, avg, norms, postings, term_freqs, n_docs, k1)
 
 
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
@@ -98,7 +91,7 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     (url_index, text_index)."""
     if top_k <= 0 or index.n_docs == 0:
         return []
-    k1 = index.params.k1
+    k1 = index.k1
     norms = index.length_norms
     scores: dict[int, float] = {}
     get = scores.get

@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .bm25 import Bm25Params, build_index
 from .config import RunConfig
 from .corpus import load_claims, load_predictions, load_store, write_predictions
 from .errors import ConfigError, MalformedInput, MissingGold
@@ -133,10 +132,7 @@ def cmd_inspect(args) -> int:
         print(user)
     else:
         gateway = _build_gateway(cfg)
-        keypoints, _ = make_keypoints(
-            gateway, record.text, claim_id=record.claim_id, library=library,
-            temperature=cfg.temperature, top_p=cfg.top_p,
-            max_new_tokens=cfg.max_tokens_keypoints)
+        keypoints, _ = make_keypoints(gateway, record.text, cfg, library, record.claim_id)
         print(f"key points: {keypoints.n} "
               f"(primitives {len(keypoints.primitives)}, combined {len(keypoints.combined)})")
         for i, kp in enumerate(keypoints.primitives, start=1):
@@ -144,8 +140,7 @@ def cmd_inspect(args) -> int:
         for i, kp in enumerate(keypoints.combined, start=1):
             print(f"  C{i}. {kp}")
 
-    index = build_index(store, keypoints.all_queries(record.text), Bm25Params(k1=cfg.k1, b=cfg.b))
-    groups = run_retrieval(index, store, keypoints, record.text, cfg)
+    groups = run_retrieval(store, keypoints, record.text, cfg)
     print(f"groups: {len(groups)}")
     for pos, group in enumerate(groups, start=1):
         cap = cfg.claim_top_k if group.kind == "claim" else cfg.keypoint_top_k

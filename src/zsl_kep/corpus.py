@@ -264,10 +264,17 @@ def write_predictions(path, reports: list[VerdictReport]) -> None:
         fh.write("\n")
 
 
+def _typed(row: dict, key: str, kind: type = str):
+    """``row[key]``, which must be exactly a ``kind``: a bool or 0.9 is no claim id."""
+    if type(row[key]) is not kind:
+        raise TypeError(f"{key} is {type(row[key]).__name__}, not {kind.__name__}")
+    return row[key]
+
+
 def load_predictions(path) -> list[VerdictReport]:
     """Read a predictions file back into reports (used by scoring and tests).
-    A row with more than MAX_EVIDENCE evidence items or a repeated claim_id
-    is rejected."""
+    A row with a mistyped field, more than MAX_EVIDENCE evidence items or a
+    repeated claim_id is rejected."""
     data = read_json(path)
     if not isinstance(data, list):
         raise MalformedInput(f"{path}: expected a JSON array of prediction objects")
@@ -278,20 +285,20 @@ def load_predictions(path) -> list[VerdictReport]:
         try:
             evidence = [
                 EvidenceItem(
-                    question=ev["question"],
-                    answer=ev["answer"],
+                    question=_typed(ev, "question"),
+                    answer=_typed(ev, "answer"),
                     answer_type=AnswerType.from_string(ev["answer_type"]),
                     citation=DocRef.parse(ev["citation_id"]),
-                    url=ev["url"],
-                    scraped_text=ev["scraped_text"],
+                    url=_typed(ev, "url"),
+                    scraped_text=_typed(ev, "scraped_text"),
                 )
                 for ev in row["evidence"]
             ]
             reports.append(VerdictReport(
-                claim_id=int(row["claim_id"]),
-                claim=row["claim"],
+                claim_id=_typed(row, "claim_id", int),
+                claim=_typed(row, "claim"),
                 evidence=evidence,
-                justification=row.get("justification", ""),
+                justification=_typed(row, "justification") if "justification" in row else "",
                 verdict=VerdictLabel.from_string(row["pred_label"]),
             ))
         except MalformedInput:

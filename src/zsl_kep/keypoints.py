@@ -4,7 +4,7 @@ One LLM call per claim turns the claim into at most four primitive key points
 plus combined key points built from pairs of them; together with the claim
 itself they become the retrieval query list. Anything that goes wrong here
 degrades to claim-only retrieval — a claim never fails because its key points
-did.
+did. The generation settings of that call come from the run config.
 """
 
 import re
@@ -105,10 +105,9 @@ def parse_keypoints(response: str) -> KeyPointSet:
     return KeyPointSet(primitives[:MAX_PRIMITIVES], combined[:MAX_COMBINED])
 
 
-def make_keypoints(gateway, claim: str, *, claim_id: "int | None" = None,
-                   library: PromptLibrary, temperature: float = 0.0,
-                   top_p: float = 0.8, max_new_tokens: int = 512) -> tuple[KeyPointSet, int]:
-    """Build, send and parse the key point prompt.
+def make_keypoints(gateway, claim: str, cfg, library: PromptLibrary,
+                   claim_id: "int | None" = None) -> tuple[KeyPointSet, int]:
+    """Build, send and parse the key point prompt at the run config's settings.
 
     Returns (key point set, fallback count). Never raises: any gateway or
     parse failure yields the empty set, which downstream means retrieval runs
@@ -116,8 +115,8 @@ def make_keypoints(gateway, claim: str, *, claim_id: "int | None" = None,
     """
     system, user = build_keypoint_prompt(claim, library)
     request = ChatRequest(system_message=system, user_message=user,
-                          temperature=temperature, top_p=top_p,
-                          max_new_tokens=max_new_tokens)
+                          temperature=cfg.temperature, top_p=cfg.top_p,
+                          max_new_tokens=cfg.max_tokens_keypoints)
     try:
         response = gateway.complete(request, claim_id)
     except GatewayError:

@@ -207,8 +207,8 @@ class HttpBackend:
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedReply(f"unexpected response shape: {exc}") from exc
-        finish = choice.get("finish_reason", "stop")
-        return ChatResponse(text=text or "", finish_reason="length" if finish == "length" else "stop")
+        finish = "length" if choice.get("finish_reason") == "length" else "stop"
+        return ChatResponse(text="" if text is None else text, finish_reason=finish)
 
 
 class Gateway:
@@ -217,8 +217,8 @@ class Gateway:
     Prompt text passes through untouched. Rate limits are retried with
     exponential backoff up to ``max_attempts`` total sends; context overflows
     (including ones raised preemptively by the client-side prompt budget) go
-    straight to the caller. Counters make both visible for diagnostics.
-    """
+    straight to the caller, and a reply whose text is not a string is a
+    ``MalformedReply``. Counters make both visible for diagnostics."""
 
     def __init__(self, backend, max_attempts: int = 5, backoff_base: float = 0.5,
                  prompt_budget: "int | None" = 8000, sleep=time.sleep):
@@ -244,7 +244,10 @@ class Gateway:
         failures = 0
         while True:
             try:
-                return self.backend.send(request, claim_id)
+                response = self.backend.send(request, claim_id)
+                if isinstance(response.text, str):
+                    return response
+                raise MalformedReply(f"reply text is {type(response.text).__name__}, not a string")
             except RateLimited:
                 with self._lock:
                     self.rate_limit_count += 1

@@ -13,7 +13,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 
-from .bm25 import Bm25Params, build_index, retrieve
+from .bm25 import build_index, retrieve
 from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
                      KnowledgeStore, VerdictLabel, VerdictReport, load_store, resolve)
 from .errors import MalformedInput, UnknownDocRef
@@ -39,12 +39,14 @@ class RetrievalGroup:
     scores: list[float] = field(default_factory=list)  # BM25 score of each doc
 
 
-def run_retrieval(index, store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
+def run_retrieval(store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
                   cfg) -> list[RetrievalGroup]:
-    """One group per query, key points first and the claim last; the claim
-    query uses the large top_k. A document already placed in an earlier group
-    is omitted from later ones."""
+    """Index the terms of the claim's queries, then retrieve one group per
+    query, key points first and the claim last; the claim query uses the
+    large top_k. A document already placed in an earlier group is omitted
+    from later ones."""
     queries = keypoints.all_queries(claim)
+    index = build_index(store, queries, k1=cfg.k1, b=cfg.b)
     seen: set[DocRef] = set()
     groups: list[RetrievalGroup] = []
     for pos, query in enumerate(queries):
@@ -90,14 +92,14 @@ def _truncate_groups(groups: list[RetrievalGroup], claim_cap: int,
             for g, cap in zip(groups, caps)]
 
 
-def _top_doc(groups: list[RetrievalGroup]) -> "tuple[DocRef, str] | None":
-    """First document of the claim group, or failing that of any group."""
-    if groups and groups[-1].docs:
-        return groups[-1].docs[0]
-    for group in groups:
+def _top_doc(groups: list[RetrievalGroup], store: KnowledgeStore) -> tuple[DocRef, str, str]:
+    """Fallback citation (ref, url, text): the first document of the claim
+    group, or failing that of any group, or an empty one at 0_0."""
+    for group in groups[-1:] + groups:
         if group.docs:
-            return group.docs[0]
-    return None
+            ref, text = group.docs[0]
+            return ref, resolve(store, ref)[0], text
+    return DocRef(0, 0), "", ""
 
 
 def parse_prediction(response: str, store: KnowledgeStore, groups: list[RetrievalGroup],
@@ -108,7 +110,6 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     Not Enough Evidence, no pairs at all -> one synthesized pair. Every
     degradation bumps diagnostics.parse_fallbacks."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    top = _top_doc(groups)
 
     questions: dict[int, str] = {}
     answers: dict[int, str] = {}
@@ -129,12 +130,6 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
                 pass
         return None
 
-    def fallback_citation() -> tuple[DocRef, str, str]:
-        if top is not None:
-            ref, text = top
-            return ref, resolve(store, ref)[0], text
-        return DocRef(0, 0), "", ""
-
     evidence: list[EvidenceItem] = []
     for k in sorted(questions):
         if len(evidence) == MAX_EVIDENCE:
@@ -151,7 +146,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
 
         resolved = resolve_citation(cites.get(k, ""))
         if resolved is None:
-            ref, url, text = fallback_citation()
+            ref, url, text = _top_doc(groups, store)
             diagnostics.parse_fallbacks += 1
         else:
             ref, url, text = resolved
@@ -160,7 +155,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
                                      url=url, scraped_text=text))
 
     if not evidence:
-        ref, url, text = fallback_citation()
+        ref, url, text = _top_doc(groups, store)
         evidence.append(EvidenceItem(
             question=FALLBACK_QUESTION,
             answer=text[:FALLBACK_ANSWER_CHARS],
@@ -191,12 +186,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
 def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
                     store: KnowledgeStore, detail: str,
                     diagnostics: Diagnostics) -> VerdictReport:
-    top = _top_doc(groups)
-    if top is not None:
-        ref, text = top
-        url = resolve(store, ref)[0]
-    else:
-        ref, url, text = DocRef(0, 0), "", ""
+    ref, url, text = _top_doc(groups, store)
     diagnostics.failed = True
     placeholder = EvidenceItem(question="", answer="", answer_type=AnswerType.UNANSWERABLE,
                                citation=ref, url=url, scraped_text=text)
@@ -257,16 +247,10 @@ def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
               library: PromptLibrary) -> VerdictReport:
     """Full pipeline for one claim: key points, index of their terms, retrieval, prediction."""
     diagnostics = Diagnostics()
-
-    keypoints, fallbacks = make_keypoints(
-        gateway, record.text, claim_id=record.claim_id, library=library,
-        temperature=cfg.temperature, top_p=cfg.top_p,
-        max_new_tokens=cfg.max_tokens_keypoints)
+    keypoints, fallbacks = make_keypoints(gateway, record.text, cfg, library, record.claim_id)
     diagnostics.parse_fallbacks += fallbacks
     diagnostics.n_keypoints = keypoints.n
-
-    index = build_index(store, keypoints.all_queries(record.text), Bm25Params(k1=cfg.k1, b=cfg.b))
-    groups = run_retrieval(index, store, keypoints, record.text, cfg)
+    groups = run_retrieval(store, keypoints, record.text, cfg)
     return predict_with_retry(gateway, groups, record.text, store, cfg,
                               claim_id=record.claim_id, diagnostics=diagnostics,
                               library=library)

@@ -155,8 +155,7 @@ def test_criterion_5_truncation_protocol():
     store = make_store([claim_passages, kp_passages])
     cfg = RunConfig()
     keypoints = KeyPointSet(["gamma beacon"], [])
-    groups = run_retrieval(build_index(store, keypoints.all_queries("alpha sensor")), store,
-                           keypoints, "alpha sensor", cfg)
+    groups = run_retrieval(store, keypoints, "alpha sensor", cfg)
     available = [len(g.docs) for g in groups]  # [12, 60]
 
     response = ("EVIDENCE:\nQ1: q?\nA1: a\nTYPE1: Abstractive\nCITE1: 0_0\n\n"
@@ -265,11 +264,8 @@ def test_criterion_8_keypoint_retrieval_recalls_more_gold():
     cfg = RunConfig()
     claim = "the town census figure doubled"
     keypoints = KeyPointSet(["harvest tally", "grain ledger"], ["the grain ledger harvest tally"])
-    # the claim is the last of the augmented queries, so this index serves both runs
-    index = build_index(store, keypoints.all_queries(claim))
-
-    claim_only = run_retrieval(index, store, KeyPointSet(), claim, cfg)
-    augmented = run_retrieval(index, store, keypoints, claim, cfg)
+    claim_only = run_retrieval(store, KeyPointSet(), claim, cfg)
+    augmented = run_retrieval(store, keypoints, claim, cfg)
 
     recall_claim = {ref for g in claim_only for ref, _ in g.docs} & gold_refs
     recall_aug = {ref for g in augmented for ref, _ in g.docs} & gold_refs

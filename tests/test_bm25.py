@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsl_kep.bm25 import Bm25Params, build_index, retrieve, tokenize
+from zsl_kep.bm25 import build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
 
 from helpers import make_store, naive_bm25_scores

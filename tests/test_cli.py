@@ -10,6 +10,11 @@ import pytest
 
 import zsl_kep
 from zsl_kep.cli import main
+from zsl_kep.config import RunConfig
+from zsl_kep.corpus import load_claims
+from zsl_kep.keypoints import PromptLibrary
+from zsl_kep.llm_gateway import MockBackend
+from zsl_kep.pipeline import build_prediction_prompt
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
 E2E_CONFIG = str(FIXTURE_DIR / "config.json")
@@ -247,15 +252,23 @@ def test_score_missing_gold_field(tmp_path, capsys):
     assert main(["score", "--pred", str(out), "--gold", blind_gold]) == 1
 
 
-@pytest.mark.parametrize("fault", ["twelve_evidence_items", "claim_repeated"])
+@pytest.mark.parametrize("fault", ["twelve_evidence_items", "claim_repeated",
+                                   "question_not_a_string", "fractional_claim_id",
+                                   "boolean_claim_id"])
 def test_score_rejects_malformed_predictions(tmp_path, capsys, fault):
     out = tmp_path / "pred.json"
     main(["run", "--config", E2E_CONFIG, "--output", str(out)])
     rows = json.loads(out.read_text(encoding="utf-8"))
     if fault == "twelve_evidence_items":
         rows[1]["evidence"] = (rows[1]["evidence"] * 12)[:12]
-    else:
+    elif fault == "claim_repeated":
         rows.append(rows[0])
+    elif fault == "question_not_a_string":
+        rows[1]["evidence"][0]["question"] = 7
+    elif fault == "fractional_claim_id":
+        rows[0]["claim_id"] = 0.9  # would read as claim 0
+    else:
+        rows[1]["claim_id"] = True  # would read as claim 1
     _write_json(out, rows)
     capsys.readouterr()
     assert main(["score", "--pred", str(out), "--gold", str(FIXTURE_DIR / "claims.json")]) == 1
@@ -274,6 +287,27 @@ def test_inspect_shows_groups_and_unified_string(capsys):
     assert "kind=claim cap=70" in out
     assert "unified retrieval string:" in out
     assert "<0_1>" in out
+
+
+def test_inspect_unified_string_equals_run_prompt(monkeypatch, capsys, tmp_path):
+    backends = []
+
+    class RecordingBackend(MockBackend):
+        def __init__(self, scripts):
+            super().__init__(scripts)
+            backends.append(self)
+
+    monkeypatch.setattr("zsl_kep.cli.MockBackend", RecordingBackend)
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(tmp_path / "pred.json")]) == 0
+    run_backend = backends[0]
+    cfg = RunConfig.from_file(E2E_CONFIG)
+    library = PromptLibrary.load(cfg.prompt_overrides)
+    for record in load_claims(cfg.claims_path):
+        capsys.readouterr()
+        assert main(["inspect", "--config", E2E_CONFIG, "--claim", str(record.claim_id)]) == 0
+        unified = capsys.readouterr().out.split("unified retrieval string:\n", 1)[1]
+        _, user = build_prediction_prompt(record.text, unified.removesuffix("\n"), library)
+        assert run_backend.calls_for(record.claim_id)[-1].user_message == user
 
 
 def test_inspect_no_llm(capsys):
@@ -321,6 +355,27 @@ def test_run_malformed_store_fails_only_its_claim(tmp_path, capsys):
     assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
     assert pred[2]["pred_label"] == "Not Enough Evidence"
     assert "'url2text' must be a string array" in pred[2]["justification"]
+
+
+def test_run_non_string_prediction_reply_fails_only_its_claim(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    script_path = fixture / "mock_script.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    script["1"][-1] = {"text": 5}
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 2
+    assert "failed claims: 1" in capsys.readouterr().err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [pred[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+    assert pred[1]["pred_label"] == "Not Enough Evidence"
+    assert "malformed: reply text is int, not a string" in pred[1]["justification"]
 
 
 def test_run_non_utf8_store_fails_only_its_claim(tmp_path, capsys):

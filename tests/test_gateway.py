@@ -209,6 +209,23 @@ def test_http_error_mapping():
         _http(refused).send(_req())
 
 
+@pytest.mark.parametrize("content", [[{"type": "text", "text": "hi"}], 5],
+                         ids=["list", "number"])
+def test_gateway_rejects_non_string_reply_text(content):
+    def transport(request, **kw):
+        return _stub(200, {"choices": [{"message": {"content": content}}]})
+
+    with pytest.raises(MalformedReply, match="not a string"):
+        Gateway(_http(transport)).complete(_req())
+
+
+def test_gateway_null_content_is_empty_text():
+    def transport(request, **kw):
+        return _stub(200, {"choices": [{"message": {"content": None}}]})
+
+    assert Gateway(_http(transport)).complete(_req()).text == ""
+
+
 def test_http_length_finish_reason():
     def transport(request, **kw):
         return _stub(200, {"choices": [{"message": {"content": "cut"},

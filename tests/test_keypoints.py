@@ -1,10 +1,12 @@
 import pytest
 
+from zsl_kep.config import RunConfig
 from zsl_kep.errors import ParseFailure
 from zsl_kep.keypoints import (KeyPointSet, PromptLibrary, build_keypoint_prompt,
                                make_keypoints, parse_keypoints)
 from zsl_kep.llm_gateway import Gateway, MockBackend
 
+CFG = RunConfig()
 LIBRARY = PromptLibrary.load()
 
 
@@ -89,7 +91,7 @@ def test_all_queries_always_ends_with_claim():
 def test_make_keypoints_happy_path():
     script = {0: ["PRIMITIVE:\n1. a\n2. b\n3. c\nCOMBINED:\n1. a and c"]}
     gateway = Gateway(MockBackend(script))
-    kps, fallbacks = make_keypoints(gateway, "claim text", claim_id=0, library=LIBRARY)
+    kps, fallbacks = make_keypoints(gateway, "claim text", CFG, LIBRARY, claim_id=0)
     assert fallbacks == 0
     queries = kps.all_queries("claim text")
     assert len(queries) == 5
@@ -98,14 +100,14 @@ def test_make_keypoints_happy_path():
 
 def test_make_keypoints_garbage_degrades():
     gateway = Gateway(MockBackend({0: ["free text, no lists"]}))
-    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
+    kps, fallbacks = make_keypoints(gateway, "claim", CFG, LIBRARY, claim_id=0)
     assert fallbacks == 1
     assert kps.all_queries("claim") == ["claim"]
 
 
 def test_make_keypoints_gateway_error_degrades():
     gateway = Gateway(MockBackend({0: [{"error": "transport"}]}))
-    kps, fallbacks = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
+    kps, fallbacks = make_keypoints(gateway, "claim", CFG, LIBRARY, claim_id=0)
     assert fallbacks == 1
     assert kps.n == 0
 
@@ -113,6 +115,6 @@ def test_make_keypoints_gateway_error_degrades():
 def test_make_keypoints_counts():
     script = {0: ["PRIMITIVE:\n1. a\n2. b\n3. c\n4. d\nCOMBINED:\n1. ab\n2. cd"]}
     gateway = Gateway(MockBackend(script))
-    kps, _ = make_keypoints(gateway, "claim", claim_id=0, library=LIBRARY)
+    kps, _ = make_keypoints(gateway, "claim", CFG, LIBRARY, claim_id=0)
     assert kps.n == 6
     assert len(kps.all_queries("claim")) == 7

@@ -21,12 +21,6 @@ CFG = RunConfig()
 LIBRARY = PromptLibrary.load()
 
 
-def _index_store(passage_lists, keypoints, claim):
-    """A store and its index over the queries of ``keypoints`` and ``claim``."""
-    store = make_store(passage_lists)
-    return build_index(store, keypoints.all_queries(claim)), store
-
-
 GOOD_RESPONSE = """EVIDENCE:
 Q1: What colour is it?
 A1: It is blue.
@@ -39,8 +33,8 @@ VERDICT: Supported"""
 
 
 def test_run_retrieval_claim_only():
-    index, store = _index_store([["alpha one", "alpha two", "beta"]], KeyPointSet(), "alpha")
-    groups = run_retrieval(index, store, KeyPointSet(), "alpha", CFG)
+    store = make_store([["alpha one", "alpha two", "beta"]])
+    groups = run_retrieval(store, KeyPointSet(), "alpha", CFG)
     assert len(groups) == 1
     assert groups[0].kind == "claim"
     assert groups[0].query == "alpha"
@@ -49,8 +43,8 @@ def test_run_retrieval_claim_only():
 
 def test_run_retrieval_group_shape_and_order():
     kps = KeyPointSet(["alpha", "beta", "gamma"], ["alpha beta"])
-    index, store = _index_store([["alpha", "beta", "gamma", "delta", "alpha beta"]], kps, "delta")
-    groups = run_retrieval(index, store, kps, "delta", CFG)
+    store = make_store([["alpha", "beta", "gamma", "delta", "alpha beta"]])
+    groups = run_retrieval(store, kps, "delta", CFG)
     assert [g.kind for g in groups] == ["keypoint"] * 4 + ["claim"]
     assert [g.query for g in groups] == ["alpha", "beta", "gamma", "alpha beta", "delta"]
     for g in groups[:-1]:
@@ -62,9 +56,8 @@ def test_run_retrieval_first_occurrence_dedup():
     # passage (0,0) matches both the key point and the claim; it must appear
     # only in the earlier (key point) group
     kps = KeyPointSet(["shared term"], [])
-    index, store = _index_store([["shared term claim", "claim only words", "other filler"]],
-                                kps, "claim words")
-    groups = run_retrieval(index, store, kps, "claim words", CFG)
+    store = make_store([["shared term claim", "claim only words", "other filler"]])
+    groups = run_retrieval(store, kps, "claim words", CFG)
     kp_refs = {ref for ref, _ in groups[0].docs}
     claim_refs = {ref for ref, _ in groups[1].docs}
     assert DocRef(0, 0) in kp_refs
@@ -78,8 +71,8 @@ def test_run_retrieval_unique_keypoint_match_stays_in_keypoint_group():
     passages = [[f"filler text number {i}" for i in range(6)] for _ in range(4)]
     passages.append(["x a", "x b", "unique marker claimword", "x c", "x d", "x e"])
     kps = KeyPointSet(["unique marker"], [])
-    index, store = _index_store(passages, kps, "claimword number")
-    groups = run_retrieval(index, store, kps, "claimword number", CFG)
+    store = make_store(passages)
+    groups = run_retrieval(store, kps, "claimword number", CFG)
     assert DocRef(4, 2) in {ref for ref, _ in groups[0].docs}
     assert DocRef(4, 2) not in {ref for ref, _ in groups[1].docs}
 
@@ -108,9 +101,9 @@ def test_unified_string_skips_empty_groups():
 
 def test_unified_string_ids_resolve():
     kps = KeyPointSet(["beta", "delta"], [])
-    index, store = _index_store([["alpha beta", "beta gamma", "gamma delta"],
-                                 ["delta alpha", "epsilon zeta"]], kps, "alpha gamma")
-    groups = run_retrieval(index, store, kps, "alpha gamma", CFG)
+    store = make_store([["alpha beta", "beta gamma", "gamma delta"],
+                        ["delta alpha", "epsilon zeta"]])
+    groups = run_retrieval(store, kps, "alpha gamma", CFG)
     unified = build_unified_string(groups)
     ids = re.findall(r"<(\d+_\d+)>", unified)
     assert ids
@@ -137,8 +130,8 @@ def test_prediction_prompt_contract():
 def test_prediction_prompt_excludes_keypoints():
     marker = "zz-keypoint-marker-never-in-corpus"
     kps = KeyPointSet([marker], [])
-    index, store = _index_store([["alpha beta", "beta gamma"]], kps, "alpha")
-    groups = run_retrieval(index, store, kps, "alpha", CFG)
+    store = make_store([["alpha beta", "beta gamma"]])
+    groups = run_retrieval(store, kps, "alpha", CFG)
     _, user = build_prediction_prompt("alpha", build_unified_string(groups), LIBRARY)
     assert marker not in user
 
@@ -234,8 +227,7 @@ def _truncation_fixture():
     kp_passages = [f"gamma beacon log entry {i}" for i in range(14)]
     store = make_store([claim_passages, kp_passages])
     kps = KeyPointSet(["gamma beacon"], [])
-    index = build_index(store, kps.all_queries("alpha sensor"))
-    groups = run_retrieval(index, store, kps, "alpha sensor", CFG)
+    groups = run_retrieval(store, kps, "alpha sensor", CFG)
     assert len(groups[0].docs) == 12  # keypoint group at its cap
     assert len(groups[1].docs) == 60  # claim group has all alpha docs
     return store, groups
@@ -385,6 +377,18 @@ def test_run_claim_indexes_only_the_query_terms_after_key_points(monkeypatch):
     # "halley" and "sighting" are in no passage but are indexed all the same
     assert calls == ["make_keypoints", ("build_index", {
         "comet", "passed", "halley", "sighting", "the", "in", "1910"})]
+
+
+def test_run_claim_non_string_keypoint_reply_falls_back_to_claim_only():
+    store = make_store([["alpha beta", "gamma delta"]])
+    backend = MockBackend({0: [{"text": 5}, GOOD_RESPONSE.replace("3_1", "0_0")]})
+    report = run_claim(ClaimRecord(claim_id=0, text="alpha"), store, Gateway(backend), CFG,
+                       LIBRARY)
+    assert report.verdict is VerdictLabel.SUPPORTED
+    assert (report.diagnostics.n_keypoints, report.diagnostics.parse_fallbacks) == (0, 1)
+    claim_only = run_retrieval(store, KeyPointSet(), "alpha", CFG)
+    _, user = build_prediction_prompt("alpha", build_unified_string(claim_only), LIBRARY)
+    assert backend.calls_for(0)[-1].user_message == user
 
 
 def test_run_claim_keypoint_failure_still_produces_report():
