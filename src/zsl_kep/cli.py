@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    zsl-kep run     --config cfg.json [--workers N] [--backend mock|http]
-                    [--output path] [--print-config]
+    zsl-kep run     --config cfg.json [--workers N] [--output path] [--print-config]
     zsl-kep score   --pred predictions.json --gold claims.json [--stemming]
                     [--report path]
     zsl-kep inspect --config cfg.json --claim ID [--no-llm]
@@ -15,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .config import RunConfig
 from .corpus import load_claims, load_predictions, load_store, write_predictions
@@ -42,8 +40,6 @@ def _load_config(args, require_backend: bool = True) -> RunConfig:
     cfg = RunConfig.from_file(args.config)
     if getattr(args, "workers", None) is not None:
         cfg.workers = args.workers
-    if getattr(args, "backend", None):
-        cfg.backend = args.backend
     if getattr(args, "output", None):
         cfg.output_path = args.output
     cfg.validate(require_backend=require_backend)
@@ -97,7 +93,7 @@ def cmd_score(args) -> int:
     _log(f"q_plus_a={result.aggregate['q_plus_a']:.4f}")
     _log(f"averitec={result.aggregate['averitec']:.4f}")
 
-    report_path = args.report or str(Path(args.pred).with_suffix(".scores.json"))
+    report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -165,7 +161,6 @@ def _make_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="process every claim and write predictions")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--workers", type=int)
-    run_p.add_argument("--backend", choices=("mock", "http"))
     run_p.add_argument("--output", help="override output_path from the config")
     run_p.add_argument("--print-config", action="store_true",
                        help="print the effective configuration and exit")

@@ -29,9 +29,6 @@ class _Label(Enum):
     """Enum of fixed label strings, read strictly from files and leniently
     from LLM replies."""
 
-    def __str__(self) -> str:
-        return self.value
-
     @classmethod
     def from_string(cls, raw: str):
         try:
@@ -120,7 +117,6 @@ class EvidenceItem:
 
 @dataclass
 class Diagnostics:
-    n_keypoints: int = 0
     truncated: bool = False
     parse_fallbacks: int = 0
     failed: bool = False
@@ -182,10 +178,13 @@ def load_claims(path) -> list[ClaimRecord]:
                     raise MalformedInput(f"{path}: element {idx} question {q_idx} needs a "
                                          "string 'question' and an array of 'answers' objects")
                 answers = [a.get("answer", "") for a in q["answers"]]
-                if not answers or any(not isinstance(a, str) or not a for a in answers):
-                    raise MalformedInput(
-                        f"{path}: element {idx} question {q_idx} has empty answers"
-                    )
+                where = f"{path}: element {idx} question {q_idx}"
+                for a_idx, answer in enumerate(answers):
+                    if not isinstance(answer, str):
+                        raise MalformedInput(f"{where} answer {a_idx} is "
+                                             f"{type(answer).__name__}, not str")
+                if not answers or not all(answers):
+                    raise MalformedInput(f"{where} has empty answers")
                 evidence.append(GoldQA(question=q["question"], answers=answers))
 
         records.append(ClaimRecord(claim_id=idx, text=text, gold_verdict=verdict,

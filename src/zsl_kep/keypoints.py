@@ -7,10 +7,9 @@ degrades to claim-only retrieval — a claim never fails because its key points
 did. The generation settings of that call come from the run config.
 """
 
+import os
 import re
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 from .errors import ParseFailure
 from .llm_gateway import ChatRequest, GatewayError
@@ -18,6 +17,7 @@ from .llm_gateway import ChatRequest, GatewayError
 MAX_PRIMITIVES = 4
 MAX_COMBINED = 6  # pairs drawn from at most 4 primitives
 
+_PROMPT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "prompts")
 TEMPLATE_NAMES = ("keypoint_system", "keypoint_user", "prediction_system", "prediction_user")
 
 _PLACEHOLDER_RE = re.compile(r"<(?:claim|retrieval)>")
@@ -46,12 +46,9 @@ class PromptLibrary:
         overrides = overrides or {}
         texts = {}
         for name in TEMPLATE_NAMES:
-            if name in overrides:
-                texts[name] = Path(overrides[name]).read_text(encoding="utf-8")
-            else:
-                texts[name] = (
-                    resources.files(__package__) / "prompts" / f"{name}.txt"
-                ).read_text(encoding="utf-8")
+            path = overrides.get(name) or os.path.join(_PROMPT_DIR, f"{name}.txt")
+            with open(path, encoding="utf-8") as fh:
+                texts[name] = fh.read()
         return cls(**texts)
 
 

@@ -45,12 +45,8 @@ class MalformedReply(GatewayError):
     kind = "malformed"
 
 
-_SCRIPTED_ERRORS = {
-    "context_overflow": ContextOverflow,
-    "rate_limited": RateLimited,
-    "transport": TransportFailure,
-    "malformed": MalformedReply,
-}
+_SCRIPTED_ERRORS = {cls.kind: cls
+                    for cls in (ContextOverflow, RateLimited, TransportFailure, MalformedReply)}
 
 # body fragments that mean the request was too long, not over quota
 _OVERFLOW_MARKERS = (
@@ -66,6 +62,9 @@ _OVERFLOW_MARKERS = (
 )
 
 API_KEY_ENV = "ZSLKEP_API_KEY"
+
+# wait before the first rate-limit retry; it doubles with every further one
+BACKOFF_BASE_S = 0.5
 
 
 @dataclass
@@ -94,19 +93,17 @@ class ChatResponse:
 class MockBackend:
     """Replays scripted responses per claim, in call order.
 
-    Scripts map claim id -> list of entries; a plain list is treated as
-    indexed by claim id. Each entry is either a response string or an object
-    like ``{"error": "context_overflow", "detail": "..."}`` for fault
-    injection. Every request is recorded for prompt-capture tests.
+    A script maps claim id -> list of entries. Each entry is either a
+    response string or an object like ``{"error": "context_overflow",
+    "detail": "..."}`` for fault injection. Every request is recorded for
+    prompt-capture tests.
     """
 
-    def __init__(self, scripts):
-        if isinstance(scripts, list):
-            scripts = {i: entries for i, entries in enumerate(scripts)}
+    def __init__(self, scripts: dict):
         self._scripts: dict[int, list] = {}
         for key, entries in scripts.items():
             if not isinstance(entries, list):
-                raise MalformedReply(f"script for claim {key} must be a list of entries")
+                raise MalformedInput(f"script for claim {key} must be a list of entries")
             try:
                 self._scripts[int(key)] = list(entries)
             except ValueError:
@@ -118,8 +115,8 @@ class MockBackend:
     @classmethod
     def from_file(cls, path) -> "MockBackend":
         scripts = read_json(path)
-        if not isinstance(scripts, (list, dict)):
-            raise MalformedInput(f"{path}: script must be an array or object")
+        if not isinstance(scripts, dict):
+            raise MalformedInput(f"{path}: script must be an object")
         return cls(scripts)
 
     def calls_for(self, claim_id: int) -> list[ChatRequest]:
@@ -220,12 +217,11 @@ class Gateway:
     straight to the caller, and a reply whose text is not a string is a
     ``MalformedReply``. Counters make both visible for diagnostics."""
 
-    def __init__(self, backend, max_attempts: int = 5, backoff_base: float = 0.5,
-                 prompt_budget: "int | None" = 8000, sleep=time.sleep):
+    def __init__(self, backend, max_attempts: int = 5, prompt_budget: int = 8000,
+                 sleep=time.sleep):
         self.backend = backend
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.prompt_budget = prompt_budget
+        self.prompt_budget = prompt_budget  # 0 turns the guard off
         self._sleep = sleep
         self._lock = threading.Lock()
         self.overflow_count = 0
@@ -254,7 +250,7 @@ class Gateway:
                 failures += 1
                 if failures >= self.max_attempts:
                     raise
-                self._sleep(self.backoff_base * (2 ** (failures - 1)))
+                self._sleep(BACKOFF_BASE_S * (2 ** (failures - 1)))
             except ContextOverflow:
                 with self._lock:
                     self.overflow_count += 1

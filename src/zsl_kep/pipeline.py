@@ -249,7 +249,6 @@ def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
     diagnostics = Diagnostics()
     keypoints, fallbacks = make_keypoints(gateway, record.text, cfg, library, record.claim_id)
     diagnostics.parse_fallbacks += fallbacks
-    diagnostics.n_keypoints = keypoints.n
     groups = run_retrieval(store, keypoints, record.text, cfg)
     return predict_with_retry(gateway, groups, record.text, store, cfg,
                               claim_id=record.claim_id, diagnostics=diagnostics,
@@ -282,9 +281,6 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
         if completed is not None:
             completed.append(report)
         return report
-
-    if cfg.workers <= 1 or len(claims) <= 1:
-        return [done(work(record)) for record in claims]
 
     # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
     # for claims still in flight (an HTTP call may take minutes)

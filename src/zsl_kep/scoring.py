@@ -243,7 +243,6 @@ class ScoreReport:
     per_claim: list[ClaimScore]
     aggregate: dict[str, float]
     stemming: bool = False
-    threshold: float = GATE_THRESHOLD
 
     def to_dict(self) -> dict:
         return {
@@ -252,7 +251,7 @@ class ScoreReport:
                 "gamma": GAMMA,
                 "beta": BETA,
                 "stemming": self.stemming,
-                "threshold": self.threshold,
+                "threshold": GATE_THRESHOLD,
                 "normalization": "gold_count",
             },
             "aggregate": dict(self.aggregate),
@@ -261,13 +260,13 @@ class ScoreReport:
 
 
 def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
-              *, stemming: bool = False, threshold: float = GATE_THRESHOLD) -> ScoreReport:
+              *, stemming: bool = False) -> ScoreReport:
     """Score predicted reports against gold records.
 
     q_only matches question strings, q_plus_a matches "question answer"
     concatenations (gold side: each question joined with each of its
     answers). A claim is gated-correct when its label matches gold and
-    q_plus_a clears the threshold; with empty gold evidence the gate passes
+    q_plus_a reaches GATE_THRESHOLD; with empty gold evidence the gate passes
     vacuously and the row is flagged.
     """
     by_id = {record.claim_id: record for record in gold}
@@ -290,7 +289,7 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
             gold_qa = [[f"{g.question} {a}" for a in g.answers] for g in record.gold_evidence]
             q_plus_a = evidence_score(pred_qa, gold_qa, stemming=stemming)
 
-            gated = label_correct and q_plus_a >= threshold
+            gated = label_correct and q_plus_a >= GATE_THRESHOLD
             empty_gold = False
         else:
             q_only = q_plus_a = 0.0
@@ -307,5 +306,4 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
         "q_plus_a": sum(c.q_plus_a for c in per_claim) / count if count else 0.0,
         "averitec": sum(1.0 for c in per_claim if c.gated_correct) / count if count else 0.0,
     }
-    return ScoreReport(per_claim=per_claim, aggregate=aggregate, stemming=stemming,
-                       threshold=threshold)
+    return ScoreReport(per_claim=per_claim, aggregate=aggregate, stemming=stemming)

@@ -78,6 +78,33 @@ def test_load_claims_wrongly_shaped_question_rejected(tmp_path, question):
         load_claims(path)
 
 
+@pytest.mark.parametrize("answers, message", [
+    ([{"answer": 5}], "question 0 answer 0 is int, not str"),
+    ([{"answer": "one"}, {"answer": None}], "question 0 answer 1 is NoneType, not str"),
+    ([{"answer": ""}], "question 0 has empty answers"),
+    ([{}], "question 0 has empty answers"),
+    ([], "question 0 has empty answers"),
+], ids=["answer_int", "answer_null", "answer_empty", "answer_missing", "answers_empty"])
+def test_load_claims_bad_gold_answer_rejected(tmp_path, answers, message):
+    path = _write(tmp_path / "claims.json",
+                  [{"claim": "a", "label": "Refuted",
+                    "questions": [{"question": "q?", "answers": answers}]}])
+    with pytest.raises(MalformedInput, match=message):
+        load_claims(path)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"claim": "a"}, "expected a JSON array of claim objects"),
+    ([{"text": "a"}], "element 0 has no 'claim' field"),
+    (["a"], "element 0 has no 'claim' field"),
+    ([{"claim": "a", "label": "Refuted", "questions": {"question": "q?"}}],
+     "element 0 'questions' must be an array"),
+], ids=["not_array", "no_claim", "row_not_object", "questions_not_array"])
+def test_load_claims_wrongly_shaped_file_rejected(tmp_path, payload, message):
+    with pytest.raises(MalformedInput, match=message):
+        load_claims(_write(tmp_path / "claims.json", payload))
+
+
 def test_load_store_counts_and_order(tmp_path):
     path = tmp_path / "0.json"
     lines = [
@@ -104,6 +131,21 @@ def test_load_store_missing_field_names_line(tmp_path):
     path.write_text('{"url": "u0", "url2text": ["a"]}\n{"url": "u1"}\n', encoding="utf-8")
     with pytest.raises(MalformedInput, match="line 2"):
         load_store(path, 0)
+
+
+def test_load_store_invalid_json_names_line(tmp_path):
+    path = tmp_path / "0.json"
+    path.write_text('{"url": "u0", "url2text": ["a"]}\n{"url": "u1", \n', encoding="utf-8")
+    with pytest.raises(MalformedInput, match="line 2 is not valid JSON"):
+        load_store(path, 0)
+
+
+def test_load_store_skips_blank_lines(tmp_path):
+    path = tmp_path / "0.json"
+    path.write_text('\n{"url": "u0", "url2text": ["a"]}\n  \n\n{"url": "u1", "url2text": ["b"]}\n',
+                    encoding="utf-8")
+    store = load_store(path, 0)
+    assert [(e.url, e.passages) for e in store.entries] == [("u0", ["a"]), ("u1", ["b"])]
 
 
 def test_load_store_accepts_duplicate_urls(tmp_path):
@@ -226,6 +268,11 @@ def _prediction_row(claim_id, n_evidence=1):
                 "url": "https://u", "scraped_text": "t", "citation_id": "0_0"}
     return {"claim_id": claim_id, "claim": "c", "pred_label": "Supported",
             "justification": "", "evidence": [evidence] * n_evidence}
+
+
+def test_load_predictions_not_array_rejected(tmp_path):
+    with pytest.raises(MalformedInput, match="expected a JSON array of prediction objects"):
+        load_predictions(_write(tmp_path / "pred.json", _prediction_row(0)))
 
 
 def test_load_predictions_rejects_more_than_max_evidence(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 
 from zsl_kep.errors import MalformedInput
 from zsl_kep.llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway,
-                                 HttpBackend, MalformedReply, MockBackend, RateLimited,
-                                 TransportFailure)
+                                 GatewayError, HttpBackend, MalformedReply, MockBackend,
+                                 RateLimited, TransportFailure)
 
 
 def _req(user="hello", system="sys", max_new_tokens=512):
@@ -57,8 +57,8 @@ def test_mock_overflow_then_success():
     assert gateway.overflow_count == 1
 
 
-def test_mock_list_scripts_and_exhaustion():
-    backend = MockBackend([["only"]])
+def test_mock_script_replay_and_exhaustion():
+    backend = MockBackend({"0": ["only"]})
     gateway = Gateway(backend)
     assert gateway.complete(_req(), 0).text == "only"
     with pytest.raises(MalformedReply):
@@ -69,13 +69,38 @@ def test_mock_list_scripts_and_exhaustion():
 
 @pytest.mark.parametrize("script, error, message", [
     ({"abc": ["r"]}, MalformedInput, "script key 'abc' is not a claim id"),
-    ({"0": "r"}, MalformedReply, "must be a list of entries"),
-], ids=["key_not_claim_id", "entries_not_list"])
+    ({"0": "r"}, MalformedInput, "must be a list of entries"),
+    ([["r"]], MalformedInput, "script must be an object"),
+], ids=["key_not_claim_id", "entries_not_list", "not_an_object"])
 def test_mock_rejects_malformed_script(tmp_path, script, error, message):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
     with pytest.raises(error, match=message):
         MockBackend.from_file(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"error": "meteor_strike"}, "unknown scripted error kind 'meteor_strike'"),
+    (5, "unusable script entry for claim 0: 5"),
+    ({"finish_reason": "length"}, "unusable script entry for claim 0"),
+], ids=["unknown_error_kind", "not_str_or_object", "object_without_text"])
+def test_mock_rejects_unusable_entry(entry, message):
+    with pytest.raises(MalformedReply, match=message):
+        MockBackend({0: [entry]}).send(_req(), 0)
+
+
+def test_mock_send_needs_claim_id():
+    backend = MockBackend({0: ["r"]})
+    with pytest.raises(MalformedReply, match="needs a claim id"):
+        backend.send(_req())
+    assert backend.requests == []
+
+
+@pytest.mark.parametrize("kind", ["context_overflow", "rate_limited", "transport", "malformed"])
+def test_mock_scripted_error_kinds_match_gateway_kinds(kind):
+    with pytest.raises(GatewayError) as info:
+        MockBackend({0: [{"error": kind, "detail": "d"}]}).send(_req(), 0)
+    assert (info.value.kind, info.value.detail) == (kind, "d")
 
 
 def test_prompt_text_passes_through_unmodified():
@@ -91,7 +116,7 @@ def test_prompt_text_passes_through_unmodified():
 def test_rate_limit_backoff_then_success():
     backend = MockBackend({0: [{"error": "rate_limited"}, {"error": "rate_limited"}, "done"]})
     sleeps = []
-    gateway = Gateway(backend, max_attempts=5, backoff_base=0.5, sleep=sleeps.append)
+    gateway = Gateway(backend, max_attempts=5, sleep=sleeps.append)
     assert gateway.complete(_req(), 0).text == "done"
     assert sleeps == [0.5, 1.0]
     assert gateway.rate_limit_count == 2
@@ -100,11 +125,11 @@ def test_rate_limit_backoff_then_success():
 def test_rate_limit_exhausts_attempts():
     backend = MockBackend({0: [{"error": "rate_limited"}] * 10})
     sleeps = []
-    gateway = Gateway(backend, max_attempts=3, backoff_base=1.0, sleep=sleeps.append)
+    gateway = Gateway(backend, max_attempts=3, sleep=sleeps.append)
     with pytest.raises(RateLimited):
         gateway.complete(_req(), 0)
     assert len(backend.calls_for(0)) == 3
-    assert sleeps == [1.0, 2.0]
+    assert sleeps == [0.5, 1.0]
 
 
 def test_prompt_budget_preempts_call():

@@ -343,7 +343,6 @@ def test_run_claim_end_to_end_with_mock():
     report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.claim_id == 3
     assert report.verdict is VerdictLabel.SUPPORTED
-    assert report.diagnostics.n_keypoints == 3
     assert report.diagnostics.parse_fallbacks == 0
     assert 1 <= len(report.evidence) <= 4
     assert report.evidence[0].scraped_text == "the comet passed in 1910"
@@ -385,7 +384,7 @@ def test_run_claim_non_string_keypoint_reply_falls_back_to_claim_only():
     report = run_claim(ClaimRecord(claim_id=0, text="alpha"), store, Gateway(backend), CFG,
                        LIBRARY)
     assert report.verdict is VerdictLabel.SUPPORTED
-    assert (report.diagnostics.n_keypoints, report.diagnostics.parse_fallbacks) == (0, 1)
+    assert report.diagnostics.parse_fallbacks == 1
     claim_only = run_retrieval(store, KeyPointSet(), "alpha", CFG)
     _, user = build_prediction_prompt("alpha", build_unified_string(claim_only), LIBRARY)
     assert backend.calls_for(0)[-1].user_message == user
@@ -401,7 +400,6 @@ def test_run_claim_keypoint_failure_still_produces_report():
     record = ClaimRecord(claim_id=0, text="alpha beta")
     report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.verdict is VerdictLabel.REFUTED
-    assert report.diagnostics.n_keypoints == 0
     assert report.diagnostics.parse_fallbacks == 1
 
 

@@ -61,6 +61,22 @@ def test_meteor_matches_independent_implementation():
                                                    abs=1e-9), (hyp, ref)
 
 
+@pytest.mark.parametrize("token, stem", [
+    ("running", "runn"),   # -ing from six letters on
+    ("bring", "bring"),    # too short for -ing
+    ("sing", "sing"),
+    ("jumped", "jump"),    # -ed from five letters on
+    ("red", "red"),
+    ("boxes", "box"),      # -es from five letters on
+    ("uses", "use"),       # too short for -es, so only -s goes
+    ("cats", "cat"),       # -s from four letters on
+    ("gas", "gas"),
+    ("glass", "glass"),    # -ss stays
+])
+def test_stem_suffix_table(token, stem):
+    assert scoring._stem(token) == stem
+
+
 def test_meteor_stemming_flag():
     assert meteor("the cats", ["the cat"], stemming=True) > meteor("the cats", ["the cat"])
     # default off: plural does not match
@@ -372,21 +388,6 @@ def test_score_run_missing_gold():
     blind = [ClaimRecord(claim_id=5, text="c")]
     with pytest.raises(MissingGold):
         score_run(reports, blind)
-
-
-def test_score_run_threshold_monotonicity():
-    gold = [_gold(i, VerdictLabel.SUPPORTED, [("shared words question", ["shared answer"])])
-            for i in range(3)]
-    reports = [
-        _report(0, VerdictLabel.SUPPORTED, [("shared words question", "shared answer")]),
-        _report(1, VerdictLabel.SUPPORTED, [("shared words about it", "partially shared")]),
-        _report(2, VerdictLabel.SUPPORTED, [("nothing common", "zilch")]),
-    ]
-    previous = 1.0
-    for threshold in (0.25, 0.4, 0.6, 0.8, 0.95):
-        value = score_run(reports, gold, threshold=threshold).aggregate["averitec"]
-        assert value <= previous + 1e-12
-        previous = value
 
 
 def test_score_report_serialization():
