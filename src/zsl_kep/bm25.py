@@ -47,12 +47,9 @@ class ScoredDoc:
 @dataclass
 class Bm25Index:
     doc_refs: list[DocRef]
-    doc_lengths: list[int]
-    avg_doc_length: float
     length_norms: list[float]
     postings: dict[str, list[int]]
     term_freqs: dict[str, list[int]]
-    n_docs: int
     k1: float
 
 
@@ -79,17 +76,17 @@ def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
             postings[term].append(ordinal)
             term_freqs[term].append(tokens.count(term))
 
-    n_docs = len(doc_refs)
-    avg = sum(doc_lengths) / n_docs if n_docs else 0.0
+    avg = sum(doc_lengths) / len(doc_refs) if doc_refs else 0.0
     # avg is 0 only when no passage has a token, and then no posting needs a norm
     norms = [k1 * (1.0 - b + b * length / avg) for length in doc_lengths] if avg else []
-    return Bm25Index(doc_refs, doc_lengths, avg, norms, postings, term_freqs, n_docs, k1)
+    return Bm25Index(doc_refs, norms, postings, term_freqs, k1)
 
 
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     """Top-k positive-score passages, score descending, ties by ascending
     (url_index, text_index)."""
-    if top_k <= 0 or index.n_docs == 0:
+    n_docs = len(index.doc_refs)
+    if top_k <= 0 or n_docs == 0:
         return []
     k1 = index.k1
     norms = index.length_norms
@@ -100,7 +97,7 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
         if not plist:
             continue
         df = len(plist)
-        idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         for ordinal, tf in zip(plist, index.term_freqs[term]):
             scores[ordinal] = get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / (tf + norms[ordinal])
 

@@ -14,12 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-from .config import RunConfig
-from .corpus import load_claims, load_predictions, load_store, write_predictions
-from .errors import ConfigError, MalformedInput, MissingGold
+from .config import ConfigError, RunConfig
+from .corpus import MalformedInput, load_claims, load_predictions, load_store, write_predictions
 from .keypoints import KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints
-from .llm_gateway import Gateway, GatewayError, HttpBackend, MockBackend
+from .llm_gateway import Gateway, HttpBackend, MockBackend
 from .pipeline import build_unified_string, run_batch, run_retrieval, store_path_for
 from .scoring import score_run
 
@@ -36,20 +36,15 @@ def _build_gateway(cfg: RunConfig) -> Gateway:
     return Gateway(backend, max_attempts=cfg.max_attempts, prompt_budget=cfg.prompt_budget)
 
 
-def _load_config(args, require_backend: bool = True) -> RunConfig:
-    cfg = RunConfig.from_file(args.config)
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "output", None):
-        cfg.output_path = args.output
-    cfg.validate(require_backend=require_backend)
-    return cfg
-
-
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = RunConfig.from_file(args.config)
+    if args.workers is not None:
+        cfg.workers = args.workers
+    if args.output:
+        cfg.output_path = args.output
+    cfg.validate()
     if args.print_config:
-        json.dump(cfg.to_dict(), sys.stdout, indent=2)
+        json.dump(asdict(cfg), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
 
@@ -102,7 +97,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    cfg = _load_config(args, require_backend=not args.no_llm)
+    cfg = RunConfig.from_file(args.config)
+    cfg.validate(require_backend=not args.no_llm)
 
     claims = load_claims(cfg.claims_path)
     if not 0 <= args.claim < len(claims):
@@ -186,10 +182,7 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MalformedInput, MissingGold, GatewayError) as exc:
-        _log(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (ConfigError, MalformedInput, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

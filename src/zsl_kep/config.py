@@ -7,13 +7,16 @@ top_p 0.8, 512/1024 new tokens.
 """
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
-from .corpus import read_json
-from .errors import ConfigError, MalformedInput
+from .corpus import MalformedInput, read_json
 from .keypoints import TEMPLATE_NAMES
 
 _PATH_FIELDS = ("claims_path", "store_dir", "output_path", "mock_script_path")
+
+
+class ConfigError(ValueError):
+    """Run configuration is incomplete or inconsistent."""
 
 
 @dataclass
@@ -115,6 +118,3 @@ class RunConfig:
         for key in self.prompt_overrides:
             if key not in TEMPLATE_NAMES:
                 raise ConfigError(f"unknown prompt override {key!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)

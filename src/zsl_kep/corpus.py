@@ -11,13 +11,19 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import MalformedInput, UnknownDocRef
-
 _DOC_REF_RE = re.compile(r"^(\d+)_(\d+)$")
 
 # evidence items per prediction: parse_prediction keeps at most this many and
 # load_predictions rejects more, which also bounds the assignment search
 MAX_EVIDENCE = 4
+
+
+class MalformedInput(ValueError):
+    """An input file violates the expected schema."""
+
+
+class UnknownDocRef(LookupError):
+    """A document reference does not exist in the knowledge store."""
 
 
 def _squash(text: str) -> str:

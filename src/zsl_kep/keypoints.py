@@ -11,7 +11,6 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseFailure
 from .llm_gateway import ChatRequest, GatewayError
 
 MAX_PRIMITIVES = 4
@@ -24,6 +23,10 @@ _PLACEHOLDER_RE = re.compile(r"<(?:claim|retrieval)>")
 _ITEM_RE = re.compile(r"^\d+[.)]\s*(.+)$")
 _PRIMITIVE_HEADER_RE = re.compile(r"^primitive\b\s*:?", re.IGNORECASE)
 _COMBINED_HEADER_RE = re.compile(r"^combined\b\s*:?", re.IGNORECASE)
+
+
+class ParseFailure(ValueError):
+    """A key point reply holds no primitive key points."""
 
 
 def fill_placeholders(template: str, values: dict[str, str]) -> str:

@@ -17,8 +17,7 @@ import urllib.request
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .corpus import read_json
-from .errors import MalformedInput
+from .corpus import MalformedInput, read_json
 
 
 class GatewayError(Exception):

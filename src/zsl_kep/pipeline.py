@@ -3,8 +3,8 @@ zero-shot prediction with overflow-truncation retries, and response parsing.
 
 Every claim always ends in a VerdictReport. Parse problems degrade field by
 field (and are counted), and an irrecoverable gateway failure or a malformed
-knowledge store produces a Not Enough Evidence report for that claim alone,
-rather than no report at all.
+or unreadable knowledge store produces a Not Enough Evidence report for that
+claim alone, rather than no report at all.
 """
 
 import os
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .bm25 import build_index, retrieve
 from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
-                     KnowledgeStore, VerdictLabel, VerdictReport, load_store, resolve)
-from .errors import MalformedInput, UnknownDocRef
+                     KnowledgeStore, MalformedInput, UnknownDocRef, VerdictLabel, VerdictReport,
+                     load_store, resolve)
 from .keypoints import KeyPointSet, PromptLibrary, fill_placeholders, make_keypoints
 from .llm_gateway import ChatRequest, ContextOverflow, GatewayError
 
@@ -272,7 +272,7 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
     def work(record: ClaimRecord) -> VerdictReport:
         try:
             store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)
-        except MalformedInput as exc:
+        except (MalformedInput, OSError) as exc:
             return _failure_report(record.claim_id, record.text, [],
                                    KnowledgeStore(record.claim_id), str(exc), Diagnostics())
         return run_claim(record, store, gateway, cfg, library)

@@ -24,8 +24,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .bm25 import tokenize
-from .corpus import MAX_EVIDENCE, ClaimRecord, VerdictReport
-from .errors import EmptyReferenceList, MissingGold, NonFiniteEntry
+from .corpus import MAX_EVIDENCE, ClaimRecord, MalformedInput, VerdictReport
 
 GATE_THRESHOLD = 0.25
 GAMMA = 0.5
@@ -130,7 +129,7 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
 def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) -> float:
     """Similarity in [0, 1]; with several references the best one counts."""
     if not references:
-        raise EmptyReferenceList("meteor needs at least one reference")
+        raise ValueError("meteor needs at least one reference")
 
     hyp = _terms(hypothesis, stemming)
     best = 0.0
@@ -164,7 +163,7 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
             raise ValueError("matrix rows must all have the same length")
         for value in row:
             if not math.isfinite(value):
-                raise NonFiniteEntry(f"matrix entry {value!r} is not finite")
+                raise ValueError(f"matrix entry {value!r} is not finite")
     size = min(n_rows, n_cols)
 
     # some optimal completion gives row i one of its `size` best columns:
@@ -212,11 +211,12 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
 
     Each gold entry may be one string or a list of acceptable variants (any
     variant satisfies the match). Returns assignment sum / number of gold
-    entries; an empty prediction list scores 0. More than MAX_EVIDENCE
-    predicted strings raise ValueError, which bounds the assignment cost.
+    entries; an empty prediction list scores 0. No gold entries, or more than
+    MAX_EVIDENCE predicted strings (which bounds the assignment cost), raise
+    ValueError.
     """
     if not gold_strings:
-        raise EmptyReferenceList("evidence_score needs at least one gold string")
+        raise ValueError("evidence_score needs at least one gold string")
     if len(pred_strings) > MAX_EVIDENCE:
         raise ValueError(f"{len(pred_strings)} predicted strings, more than {MAX_EVIDENCE}")
     gold_variants = [[g] if isinstance(g, str) else list(g) for g in gold_strings]
@@ -267,7 +267,9 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
     concatenations (gold side: each question joined with each of its
     answers). A claim is gated-correct when its label matches gold and
     q_plus_a reaches GATE_THRESHOLD; with empty gold evidence the gate passes
-    vacuously and the row is flagged.
+    vacuously and the row is flagged. A report without a labeled gold record
+    raises MalformedInput. Aggregates are correctly rounded sums (``fsum``),
+    so they do not depend on the Python version.
     """
     by_id = {record.claim_id: record for record in gold}
 
@@ -275,9 +277,9 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
     for report in reports:
         record = by_id.get(report.claim_id)
         if record is None:
-            raise MissingGold(f"claim {report.claim_id} has no gold record")
+            raise MalformedInput(f"claim {report.claim_id} has no gold record")
         if record.gold_verdict is None or record.gold_evidence is None:
-            raise MissingGold(f"claim {report.claim_id} gold record lacks label or evidence")
+            raise MalformedInput(f"claim {report.claim_id} gold record lacks label or evidence")
 
         label_correct = report.verdict == record.gold_verdict
         if record.gold_evidence:
@@ -302,8 +304,8 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
 
     count = len(per_claim)
     aggregate = {
-        "q_only": sum(c.q_only for c in per_claim) / count if count else 0.0,
-        "q_plus_a": sum(c.q_plus_a for c in per_claim) / count if count else 0.0,
+        "q_only": math.fsum(c.q_only for c in per_claim) / count if count else 0.0,
+        "q_plus_a": math.fsum(c.q_plus_a for c in per_claim) / count if count else 0.0,
         "averitec": sum(1.0 for c in per_claim if c.gated_correct) / count if count else 0.0,
     }
     return ScoreReport(per_claim=per_claim, aggregate=aggregate, stemming=stemming)

@@ -21,16 +21,15 @@ def test_tokenize_rules():
 def test_build_index_counts():
     store = make_store([["a b", "c d", "e"], ["f g", "h"]])
     index = build_index(store, ["a h"])
-    assert index.n_docs == 5
+    assert len(index.doc_refs) == 5
     assert index.doc_refs[0] == DocRef(0, 0)
     assert index.doc_refs[4] == DocRef(1, 1)
-    assert index.avg_doc_length == pytest.approx(sum(index.doc_lengths) / 5)
 
 
 def test_build_index_skips_empty_passage():
     store = make_store([["a b", "", "c"]])
     index = build_index(store, ["a c"])
-    assert index.n_docs == 2
+    assert len(index.doc_refs) == 2
     assert DocRef(0, 1) not in index.doc_refs
     # neighbouring ids unchanged
     assert index.doc_refs == [DocRef(0, 0), DocRef(0, 2)]
@@ -64,7 +63,7 @@ def test_unindexed_query_term_raises():
 def _scores(index, query):
     """Every passage's BM25 score for ``query``; passages retrieve leaves out
     scored zero."""
-    return {d.ref: d.score for d in retrieve(index, query, index.n_docs)}
+    return {d.ref: d.score for d in retrieve(index, query, len(index.doc_refs))}
 
 
 def test_score_hand_evaluated():
@@ -166,7 +165,7 @@ def test_postings_score_equals_naive_recount(passages, query):
     scores = _scores(index, query)
     for ordinal, i in enumerate(kept):
         assert scores.get(DocRef(0, i), 0.0) == pytest.approx(oracle[ordinal], abs=1e-9)
-    assert index.n_docs == len(kept)
+    assert len(index.doc_refs) == len(kept)
 
 
 _FUNCTION_WORDS = ["the", "of", "and", "to", "a", "in", "is", "that"]

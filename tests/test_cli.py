@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -235,6 +236,19 @@ def test_score_self_and_report(tmp_path, capsys):
     assert len(payload["per_claim"]) == 4
 
 
+@pytest.mark.parametrize("stemming", [[], ["--stemming"]])
+def test_score_aggregates_are_correctly_rounded_means(tmp_path, capsys, stemming):
+    out = tmp_path / "pred.json"
+    main(["run", "--config", E2E_CONFIG, "--output", str(out)])
+    report = tmp_path / "scores.json"
+    assert main(["score", "--pred", str(out), "--gold", str(FIXTURE_DIR / "claims.json"),
+                 "--report", str(report), *stemming]) == 0
+    data = json.loads(report.read_text(encoding="utf-8"))
+    n = len(data["per_claim"])
+    for key in ("q_only", "q_plus_a"):
+        assert data["aggregate"][key] == math.fsum(row[key] for row in data["per_claim"]) / n
+
+
 def test_score_default_report_path(tmp_path, capsys):
     out = tmp_path / "pred.json"
     main(["run", "--config", E2E_CONFIG, "--output", str(out)])
@@ -278,6 +292,13 @@ def test_score_rejects_malformed_predictions(tmp_path, capsys, fault):
 def test_inspect_unknown_claim(capsys):
     assert main(["inspect", "--config", E2E_CONFIG, "--claim", "42"]) == 1
     assert "unknown claim id" in capsys.readouterr().err
+
+
+def test_inspect_missing_store_names_path(tmp_path, capsys):
+    config = _minimal_setup(tmp_path, n_claims=2, stores_for=(0,))
+    assert main(["inspect", "--config", config, "--claim", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: missing knowledge store {tmp_path / 'stores' / '1.json'}" in err
 
 
 def test_inspect_shows_groups_and_unified_string(capsys):
@@ -396,6 +417,28 @@ def test_run_non_utf8_store_fails_only_its_claim(tmp_path, capsys):
     assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
     assert pred[2]["pred_label"] == "Not Enough Evidence"
     assert "2.json: not UTF-8 text" in pred[2]["justification"]
+
+
+def test_run_directory_store_fails_only_its_claim(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    store = fixture / "stores" / "2.json"
+    store.unlink()
+    store.mkdir()  # present, so not a missing store, but unreadable
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "claims processed: 4" in err and "failed claims: 1" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [row["claim_id"] for row in pred] == [0, 1, 2, 3]
+    assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
+    assert pred[2]["pred_label"] == "Not Enough Evidence"
+    assert "Is a directory" in pred[2]["justification"]
 
 
 def test_run_latin1_claims_file_exits_1(tmp_path, capsys):

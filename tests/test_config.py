@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from zsl_kep.config import RunConfig
-from zsl_kep.errors import ConfigError, MalformedInput
+from zsl_kep.config import ConfigError, RunConfig
+from zsl_kep.corpus import MalformedInput
 
 
 def _load(tmp_path, payload):

@@ -3,10 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, DocRef, EvidenceItem, VerdictLabel,
-                            VerdictReport, load_claims, load_predictions, load_store, resolve,
-                            write_predictions)
-from zsl_kep.errors import MalformedInput, UnknownDocRef
+from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, DocRef, EvidenceItem, MalformedInput,
+                            UnknownDocRef, VerdictLabel, VerdictReport, load_claims,
+                            load_predictions, load_store, resolve, write_predictions)
 
 from helpers import make_store
 

@@ -7,7 +7,7 @@ import urllib.error
 
 import pytest
 
-from zsl_kep.errors import MalformedInput
+from zsl_kep.corpus import MalformedInput
 from zsl_kep.llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway,
                                  GatewayError, HttpBackend, MalformedReply, MockBackend,
                                  RateLimited, TransportFailure)

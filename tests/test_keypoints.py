@@ -1,8 +1,7 @@
 import pytest
 
 from zsl_kep.config import RunConfig
-from zsl_kep.errors import ParseFailure
-from zsl_kep.keypoints import (KeyPointSet, PromptLibrary, build_keypoint_prompt,
+from zsl_kep.keypoints import (KeyPointSet, ParseFailure, PromptLibrary, build_keypoint_prompt,
                                make_keypoints, parse_keypoints)
 from zsl_kep.llm_gateway import Gateway, MockBackend
 

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsl_kep import scoring
 from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA,
-                            VerdictLabel, VerdictReport)
-from zsl_kep.errors import EmptyReferenceList, MissingGold, NonFiniteEntry
+                            MalformedInput, VerdictLabel, VerdictReport)
 from zsl_kep.scoring import evidence_score, hungarian_max, meteor, score_run
 
 from helpers import brute_force_assignment, independent_meteor
@@ -34,7 +33,7 @@ def test_meteor_swapped_tokens_half():
 def test_meteor_empty_sides():
     assert meteor("", ["a"]) == 0.0
     assert meteor("a", [""]) == 0.0
-    with pytest.raises(EmptyReferenceList):
+    with pytest.raises(ValueError, match="meteor needs at least one reference"):
         meteor("a", [])
 
 
@@ -203,9 +202,9 @@ def test_hungarian_empty():
 
 
 def test_hungarian_rejects_non_finite():
-    with pytest.raises(NonFiniteEntry):
+    with pytest.raises(ValueError, match="matrix entry nan is not finite"):
         hungarian_max([[1.0, math.nan]])
-    with pytest.raises(NonFiniteEntry):
+    with pytest.raises(ValueError, match="matrix entry inf is not finite"):
         hungarian_max([[math.inf]])
 
 
@@ -280,7 +279,7 @@ def test_evidence_score_normalizes_by_gold_count():
 
 def test_evidence_score_empty_pred_is_zero():
     assert evidence_score([], ["gold string"]) == 0.0
-    with pytest.raises(EmptyReferenceList):
+    with pytest.raises(ValueError, match="evidence_score needs at least one gold string"):
         evidence_score(["pred"], [])
 
 
@@ -383,10 +382,10 @@ def test_score_run_empty_gold_evidence_vacuous_gate():
 
 def test_score_run_missing_gold():
     reports = [_report(5, VerdictLabel.SUPPORTED, [("q", "a")])]
-    with pytest.raises(MissingGold):
+    with pytest.raises(MalformedInput, match="claim 5 has no gold record"):
         score_run(reports, [])
     blind = [ClaimRecord(claim_id=5, text="c")]
-    with pytest.raises(MissingGold):
+    with pytest.raises(MalformedInput, match="claim 5 gold record lacks label or evidence"):
         score_run(reports, blind)
 
 
