@@ -4,9 +4,9 @@ Hungarian-METEOR scoring with the conditioned-label metric."""
 
 from .bm25 import Bm25Index, ScoredDoc, build_index, retrieve, tokenize
 from .config import RunConfig
-from .corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem, GoldQA,
-                     KnowledgeStore, UrlEntry, VerdictLabel, VerdictReport, load_claims,
-                     load_predictions, load_store, resolve, write_predictions)
+from .corpus import (AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA, KnowledgeStore,
+                     UrlEntry, VerdictLabel, VerdictReport, load_claims, load_predictions,
+                     load_store, resolve, write_predictions)
 from .keypoints import (KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints,
                         parse_keypoints)
 from .llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway, GatewayError,

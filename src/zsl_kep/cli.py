@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    zsl-kep run     --config cfg.json [--workers N] [--output path] [--print-config]
+    zsl-kep run     --config cfg.json [--output path] [--print-config]
     zsl-kep score   --pred predictions.json --gold claims.json [--stemming]
                     [--report path]
     zsl-kep inspect --config cfg.json --claim ID [--no-llm]
@@ -38,8 +38,6 @@ def _build_gateway(cfg: RunConfig) -> Gateway:
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.output:
         cfg.output_path = args.output
     cfg.validate()
@@ -54,6 +52,10 @@ def cmd_run(args) -> int:
         if not os.path.exists(store_path):
             _log(f"error: missing knowledge store {store_path}")
             return 1
+    out_dir = os.path.dirname(cfg.output_path) or "."
+    if not os.path.isdir(out_dir) or os.path.isdir(cfg.output_path):
+        _log(f"error: cannot write predictions to {cfg.output_path}")
+        return 1
 
     gateway = _build_gateway(cfg)
     completed = []
@@ -66,9 +68,9 @@ def cmd_run(args) -> int:
         return 130
     write_predictions(cfg.output_path, reports)
 
-    truncated = sum(1 for r in reports if r.diagnostics.truncated)
-    fallbacks = sum(r.diagnostics.parse_fallbacks for r in reports)
-    failed = sum(1 for r in reports if r.diagnostics.failed)
+    truncated = sum(r.truncated for r in reports)
+    fallbacks = sum(r.parse_fallbacks for r in reports)
+    failed = sum(r.failed for r in reports)
     _log(f"claims processed: {len(reports)}")
     _log(f"truncated runs: {truncated}")
     _log(f"parse fallbacks: {fallbacks}")
@@ -156,7 +158,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="process every claim and write predictions")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--workers", type=int)
     run_p.add_argument("--output", help="override output_path from the config")
     run_p.add_argument("--print-config", action="store_true",
                        help="print the effective configuration and exit")

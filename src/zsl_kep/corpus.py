@@ -122,20 +122,16 @@ class EvidenceItem:
 
 
 @dataclass
-class Diagnostics:
-    truncated: bool = False
-    parse_fallbacks: int = 0
-    failed: bool = False
-
-
-@dataclass
 class VerdictReport:
     claim_id: int
     claim: str
     evidence: list[EvidenceItem]
     justification: str
     verdict: VerdictLabel
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    # what the run degraded; not written to predictions
+    truncated: bool = False
+    parse_fallbacks: int = 0
+    failed: bool = False
 
 
 def read_json(path):

@@ -2,9 +2,11 @@
 zero-shot prediction with overflow-truncation retries, and response parsing.
 
 Every claim always ends in a VerdictReport. Parse problems degrade field by
-field (and are counted), and an irrecoverable gateway failure or a malformed
-or unreadable knowledge store produces a Not Enough Evidence report for that
-claim alone, rather than no report at all.
+field, and an irrecoverable gateway failure or a malformed or unreadable
+knowledge store produces a Not Enough Evidence report for that claim alone,
+rather than no report at all. Each stage returns what it degraded, and the
+report carries it: ``truncated``, ``parse_fallbacks`` (key points and
+prediction fields together, added up in ``run_claim``) and ``failed``.
 """
 
 import os
@@ -14,9 +16,9 @@ import threading
 from dataclasses import dataclass, field
 
 from .bm25 import build_index, retrieve
-from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, Diagnostics, DocRef, EvidenceItem,
-                     KnowledgeStore, MalformedInput, UnknownDocRef, VerdictLabel, VerdictReport,
-                     load_store, resolve)
+from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, KnowledgeStore,
+                     MalformedInput, UnknownDocRef, VerdictLabel, VerdictReport, load_store,
+                     resolve)
 from .keypoints import KeyPointSet, PromptLibrary, fill_placeholders, make_keypoints
 from .llm_gateway import ChatRequest, ContextOverflow, GatewayError
 
@@ -102,15 +104,13 @@ def _top_doc(groups: list[RetrievalGroup], store: KnowledgeStore) -> tuple[DocRe
     return DocRef(0, 0), "", ""
 
 
-def parse_prediction(response: str, store: KnowledgeStore, groups: list[RetrievalGroup],
-                     diagnostics: "Diagnostics | None" = None):
-    """Parse the labeled-line prediction grammar into evidence, justification
-    and verdict. Each unparseable field degrades individually: bad citation ->
-    top claim-group document, bad answer type -> Abstractive, bad verdict ->
-    Not Enough Evidence, no pairs at all -> one synthesized pair. Every
-    degradation bumps diagnostics.parse_fallbacks."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-
+def parse_prediction(response: str, store: KnowledgeStore, groups: list[RetrievalGroup]):
+    """Parse the labeled-line prediction grammar into (evidence, justification,
+    verdict, fallbacks). Each unparseable field degrades individually: bad
+    citation -> top claim-group document, bad answer type -> Abstractive, bad
+    verdict -> Not Enough Evidence, no pairs at all -> one synthesized pair.
+    ``fallbacks`` counts the degradations."""
+    fallbacks = 0
     questions: dict[int, str] = {}
     answers: dict[int, str] = {}
     types: dict[int, str] = {}
@@ -142,12 +142,12 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
         answer_type = AnswerType.parse_lenient(types.get(k, ""))
         if answer_type is None:
             answer_type = AnswerType.ABSTRACTIVE
-            diagnostics.parse_fallbacks += 1
+            fallbacks += 1
 
         resolved = resolve_citation(cites.get(k, ""))
         if resolved is None:
             ref, url, text = _top_doc(groups, store)
-            diagnostics.parse_fallbacks += 1
+            fallbacks += 1
         else:
             ref, url, text = resolved
         evidence.append(EvidenceItem(question=question, answer=answer,
@@ -162,7 +162,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
             answer_type=AnswerType.ABSTRACTIVE,
             citation=ref, url=url, scraped_text=text,
         ))
-        diagnostics.parse_fallbacks += 1
+        fallbacks += 1
 
     justification = ""
     just_headers = list(_JUSTIFICATION_RE.finditer(response))
@@ -178,16 +178,14 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
         verdict = VerdictLabel.parse_lenient(verdict_matches[-1])
     if verdict is None:
         verdict = VerdictLabel.NOT_ENOUGH_EVIDENCE
-        diagnostics.parse_fallbacks += 1
+        fallbacks += 1
 
-    return evidence, justification, verdict
+    return evidence, justification, verdict, fallbacks
 
 
 def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
-                    store: KnowledgeStore, detail: str,
-                    diagnostics: Diagnostics) -> VerdictReport:
+                    store: KnowledgeStore, detail: str, truncated: bool = False) -> VerdictReport:
     ref, url, text = _top_doc(groups, store)
-    diagnostics.failed = True
     placeholder = EvidenceItem(question="", answer="", answer_type=AnswerType.UNANSWERABLE,
                                citation=ref, url=url, scraped_text=text)
     return VerdictReport(
@@ -196,20 +194,18 @@ def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
         evidence=[placeholder],
         justification=f"No verdict could be generated: {detail}",
         verdict=VerdictLabel.NOT_ENOUGH_EVIDENCE,
-        diagnostics=diagnostics,
+        truncated=truncated,
+        failed=True,
     )
 
 
 def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
                        store: KnowledgeStore, cfg, *, claim_id: int = 0,
-                       diagnostics: "Diagnostics | None" = None,
                        library: PromptLibrary) -> VerdictReport:
     """Send the prediction prompt, shrinking the document set on context
     overflow: first to the configured truncation caps, then by halving them
     (floor one document per group) until the prompt fits or nothing is left
-    to cut."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-
+    to cut. The report is ``truncated`` when any cap was applied."""
     caps: "tuple[int, int] | None" = None
     current = groups
     while True:
@@ -227,32 +223,30 @@ def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
             elif caps == (1, 1):
                 return _failure_report(claim_id, claim, current, store,
                                        f"context overflow persisted at minimum caps ({exc.detail})",
-                                       diagnostics)
+                                       truncated=True)
             else:
                 caps = (max(1, caps[0] // 2), max(1, caps[1] // 2))
             current = _truncate_groups(groups, *caps)
-            diagnostics.truncated = True
         except GatewayError as exc:
             return _failure_report(claim_id, claim, current, store,
-                                   f"{exc.kind}: {exc.detail}", diagnostics)
+                                   f"{exc.kind}: {exc.detail}", truncated=caps is not None)
 
-    evidence, justification, verdict = parse_prediction(response.text, store, current,
-                                                        diagnostics)
+    evidence, justification, verdict, fallbacks = parse_prediction(response.text, store, current)
     return VerdictReport(claim_id=claim_id, claim=claim, evidence=evidence,
                          justification=justification, verdict=verdict,
-                         diagnostics=diagnostics)
+                         truncated=caps is not None, parse_fallbacks=fallbacks)
 
 
 def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
               library: PromptLibrary) -> VerdictReport:
-    """Full pipeline for one claim: key points, index of their terms, retrieval, prediction."""
-    diagnostics = Diagnostics()
+    """Full pipeline for one claim: key points, index of their terms, retrieval,
+    prediction. The report counts the key point fallbacks with its own."""
     keypoints, fallbacks = make_keypoints(gateway, record.text, cfg, library, record.claim_id)
-    diagnostics.parse_fallbacks += fallbacks
     groups = run_retrieval(store, keypoints, record.text, cfg)
-    return predict_with_retry(gateway, groups, record.text, store, cfg,
-                              claim_id=record.claim_id, diagnostics=diagnostics,
-                              library=library)
+    report = predict_with_retry(gateway, groups, record.text, store, cfg,
+                                claim_id=record.claim_id, library=library)
+    report.parse_fallbacks += fallbacks
+    return report
 
 
 def store_path_for(store_dir: str, claim_id: int) -> str:
@@ -274,7 +268,7 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
             store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)
         except (MalformedInput, OSError) as exc:
             return _failure_report(record.claim_id, record.text, [],
-                                   KnowledgeStore(record.claim_id), str(exc), Diagnostics())
+                                   KnowledgeStore(record.claim_id), str(exc))
         return run_claim(record, store, gateway, cfg, library)
 
     def done(report: VerdictReport) -> VerdictReport:

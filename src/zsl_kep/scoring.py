@@ -210,10 +210,10 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
     """Assignment-matched METEOR mass over gold evidence.
 
     Each gold entry may be one string or a list of acceptable variants (any
-    variant satisfies the match). Returns assignment sum / number of gold
-    entries; an empty prediction list scores 0. No gold entries, or more than
-    MAX_EVIDENCE predicted strings (which bounds the assignment cost), raise
-    ValueError.
+    variant satisfies the match). Returns the assignment's correctly rounded
+    sum (``fsum``) / number of gold entries; an empty prediction list scores
+    0. No gold entries, or more than MAX_EVIDENCE predicted strings (which
+    bounds the assignment cost), raise ValueError.
     """
     if not gold_strings:
         raise ValueError("evidence_score needs at least one gold string")
@@ -224,7 +224,7 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
         return 0.0
     matrix = [[meteor(pred, variants, stemming=stemming) for variants in gold_variants]
               for pred in pred_strings]
-    total = sum(matrix[i][j] for i, j in hungarian_max(matrix))
+    total = math.fsum(matrix[i][j] for i, j in hungarian_max(matrix))
     return total / len(gold_variants)
 
 
@@ -268,8 +268,8 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
     answers). A claim is gated-correct when its label matches gold and
     q_plus_a reaches GATE_THRESHOLD; with empty gold evidence the gate passes
     vacuously and the row is flagged. A report without a labeled gold record
-    raises MalformedInput. Aggregates are correctly rounded sums (``fsum``),
-    so they do not depend on the Python version.
+    raises MalformedInput. Per-claim scores and aggregates are correctly
+    rounded sums (``fsum``), so they do not depend on the Python version.
     """
     by_id = {record.claim_id: record for record in gold}
 

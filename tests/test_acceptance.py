@@ -165,7 +165,7 @@ def test_criterion_5_truncation_protocol():
                                 claim_id=0, library=PromptLibrary.load())
 
     calls = backend.calls_for(0)
-    ok = len(calls) == 2 and report.diagnostics.truncated
+    ok = len(calls) == 2 and report.truncated
 
     def counts(message):
         retrieval = message.split("Retrieved documents:\n", 1)[1]

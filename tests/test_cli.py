@@ -144,11 +144,35 @@ def test_run_exit_2_on_failed_claim(tmp_path):
     assert pred[0]["pred_label"] == "Not Enough Evidence"
 
 
+@pytest.mark.parametrize("output", ["missing/pred.json", "."])
+def test_run_rejects_unusable_output_before_any_call(tmp_path, capsys, monkeypatch, output):
+    import zsl_kep.cli as cli_mod
+    sent = []
+
+    class _Recording(MockBackend):
+        def send(self, request, claim_id=None):
+            sent.append(claim_id)
+            return super().send(request, claim_id)
+
+    monkeypatch.setattr(cli_mod, "MockBackend", _Recording)
+    out = tmp_path / output
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(out)]) == 1
+    assert f"error: cannot write predictions to {out}" in capsys.readouterr().err
+    assert sent == []
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_worker_override_still_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["run", "--config", E2E_CONFIG, "--output", str(out1), "--workers", "1"]) == 0
-    assert main(["run", "--config", E2E_CONFIG, "--output", str(out2), "--workers", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    outputs = []
+    for workers in (1, 4):
+        cfg = json.loads((FIXTURE_DIR / "config.json").read_text(encoding="utf-8"))
+        for key in ("claims_path", "store_dir", "mock_script_path"):
+            cfg[key] = str(FIXTURE_DIR / cfg[key])
+        cfg["workers"] = workers
+        config = _write_json(tmp_path / f"config{workers}.json", cfg)
+        outputs.append(tmp_path / f"pred{workers}.json")
+        assert main(["run", "--config", config, "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_run_interrupt_flushes_completed_reports(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,7 @@ import pytest
 
 from zsl_kep.bm25 import build_index, retrieve
 from zsl_kep.config import RunConfig
-from zsl_kep.corpus import (AnswerType, ClaimRecord, Diagnostics, DocRef, VerdictLabel,
-                            resolve)
+from zsl_kep.corpus import AnswerType, ClaimRecord, DocRef, VerdictLabel, resolve
 from zsl_kep.keypoints import KeyPointSet, PromptLibrary
 from zsl_kep.llm_gateway import Gateway, MockBackend, TransportFailure
 from zsl_kep.pipeline import (GROUP_SEPARATOR, RetrievalGroup, _truncate_groups,
@@ -143,8 +142,7 @@ def _groups_for(store, texts_by_ref):
 def test_parse_prediction_well_formed():
     store = make_store([["a", "b"], [], ["x", "blue doc", "z"], ["p", "q"]])
     groups = _groups_for(store, [(DocRef(0, 0), "a")])
-    diag = Diagnostics()
-    evidence, justification, verdict = parse_prediction(GOOD_RESPONSE, store, groups, diag)
+    evidence, justification, verdict, fallbacks = parse_prediction(GOOD_RESPONSE, store, groups)
     assert len(evidence) == 1
     assert evidence[0].question.startswith("What")
     assert evidence[0].answer == "It is blue."
@@ -154,13 +152,13 @@ def test_parse_prediction_well_formed():
     assert evidence[0].scraped_text == "q"
     assert justification == "Because the document says so."
     assert verdict is VerdictLabel.SUPPORTED
-    assert diag.parse_fallbacks == 0
+    assert fallbacks == 0
 
 
 def test_parse_prediction_verdict_normalization():
     store = make_store([["a"]])
     groups = _groups_for(store, [(DocRef(0, 0), "a")])
-    _, _, verdict = parse_prediction("Q1: q\nA1: a\nVERDICT: refuted.", store, groups)
+    _, _, verdict, _ = parse_prediction("Q1: q\nA1: a\nVERDICT: refuted.", store, groups)
     assert verdict is VerdictLabel.REFUTED
 
 
@@ -171,54 +169,50 @@ def test_parse_prediction_keeps_first_four_pairs():
         f"Q{k}: question {k}\nA{k}: answer {k}\nTYPE{k}: Boolean\nCITE{k}: 0_0"
         for k in range(1, 7)
     )
-    evidence, _, _ = parse_prediction(blocks + "\nVERDICT: Supported", store, groups)
+    evidence, _, _, _ = parse_prediction(blocks + "\nVERDICT: Supported", store, groups)
     assert [ev.question for ev in evidence] == [f"question {k}" for k in range(1, 5)]
 
 
 def test_parse_prediction_bad_citation_recites_top_claim_doc():
     store = make_store([["top passage", "other"]])
     groups = _groups_for(store, [(DocRef(0, 0), "top passage")])
-    diag = Diagnostics()
     response = "Q1: q\nA1: a\nTYPE1: Extractive\nCITE1: 99_99\nVERDICT: Supported"
-    evidence, _, _ = parse_prediction(response, store, groups, diag)
+    evidence, _, _, fallbacks = parse_prediction(response, store, groups)
     assert evidence[0].citation == DocRef(0, 0)
     assert evidence[0].scraped_text == "top passage"
-    assert diag.parse_fallbacks == 1
+    assert fallbacks == 1
 
 
 def test_parse_prediction_bad_type_defaults_abstractive():
     store = make_store([["a"]])
     groups = _groups_for(store, [(DocRef(0, 0), "a")])
-    diag = Diagnostics()
     response = "Q1: q\nA1: a\nTYPE1: mystery\nCITE1: 0_0\nVERDICT: Supported"
-    evidence, _, _ = parse_prediction(response, store, groups, diag)
+    evidence, _, _, fallbacks = parse_prediction(response, store, groups)
     assert evidence[0].answer_type is AnswerType.ABSTRACTIVE
-    assert diag.parse_fallbacks == 1
+    assert fallbacks == 1
 
 
 def test_parse_prediction_missing_verdict_defaults_nee():
     store = make_store([["a"]])
     groups = _groups_for(store, [(DocRef(0, 0), "a")])
-    diag = Diagnostics()
-    _, _, verdict = parse_prediction("Q1: q\nA1: a\nTYPE1: Boolean\nCITE1: 0_0",
-                                     store, groups, diag)
+    _, _, verdict, fallbacks = parse_prediction("Q1: q\nA1: a\nTYPE1: Boolean\nCITE1: 0_0",
+                                                store, groups)
     assert verdict is VerdictLabel.NOT_ENOUGH_EVIDENCE
-    assert diag.parse_fallbacks == 1
+    assert fallbacks == 1
 
 
 def test_parse_prediction_no_pairs_synthesizes_one():
     long_text = "word " * 100
     store = make_store([[long_text]])
     groups = _groups_for(store, [(DocRef(0, 0), long_text)])
-    diag = Diagnostics()
-    evidence, _, verdict = parse_prediction("nothing structured\nVERDICT: Supported",
-                                            store, groups, diag)
+    evidence, _, verdict, fallbacks = parse_prediction("nothing structured\nVERDICT: Supported",
+                                                       store, groups)
     assert len(evidence) == 1
     assert evidence[0].question == "What does the retrieved evidence say about the claim?"
     assert evidence[0].answer == long_text[:200]
     assert evidence[0].answer_type is AnswerType.ABSTRACTIVE
     assert evidence[0].citation == DocRef(0, 0)
-    assert diag.parse_fallbacks == 1
+    assert fallbacks == 1
     assert verdict is VerdictLabel.SUPPORTED
 
 
@@ -243,7 +237,7 @@ def test_predict_no_truncation_on_success():
     backend = MockBackend({0: [GOOD_RESPONSE.replace("3_1", "0_0")]})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
                                 claim_id=0, library=LIBRARY)
-    assert report.diagnostics.truncated is False
+    assert report.truncated is False
     assert report.verdict is VerdictLabel.SUPPORTED
     assert _doc_counts(backend.calls_for(0)[0].user_message) == [12, 60]
 
@@ -258,7 +252,7 @@ def test_predict_truncates_to_55_and_9_after_overflow():
     assert len(calls) == 2
     assert _doc_counts(calls[0].user_message) == [12, 60]
     assert _doc_counts(calls[1].user_message) == [9, 55]
-    assert report.diagnostics.truncated is True
+    assert report.truncated is True
 
 
 def test_predict_halves_caps_on_second_overflow():
@@ -270,7 +264,7 @@ def test_predict_halves_caps_on_second_overflow():
                                 claim_id=0, library=LIBRARY)
     calls = backend.calls_for(0)
     assert _doc_counts(calls[2].user_message) == [4, 27]
-    assert report.diagnostics.truncated is True
+    assert report.truncated is True
 
 
 def test_group_scores_align_with_docs_through_truncation():
@@ -309,7 +303,7 @@ def test_predict_gives_up_at_minimum_caps():
     backend = MockBackend({0: [{"error": "context_overflow"}] * 20})
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
                                 claim_id=0, library=LIBRARY)
-    assert report.diagnostics.failed is True
+    assert report.failed is True
     assert report.verdict is VerdictLabel.NOT_ENOUGH_EVIDENCE
     # caps sequence: full, 55/9, 27/4, 13/2, 6/1, 3/1, 1/1 -> 7 attempts
     assert len(backend.calls_for(0)) == 7
@@ -321,7 +315,7 @@ def test_predict_irrecoverable_failure_degrades():
     report = predict_with_retry(Gateway(backend), groups, "alpha sensor", store, CFG,
                                 claim_id=7, library=LIBRARY)
     assert report.claim_id == 7
-    assert report.diagnostics.failed is True
+    assert report.failed is True
     assert report.verdict is VerdictLabel.NOT_ENOUGH_EVIDENCE
     assert len(report.evidence) == 1
     assert report.evidence[0].question == ""
@@ -343,7 +337,7 @@ def test_run_claim_end_to_end_with_mock():
     report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.claim_id == 3
     assert report.verdict is VerdictLabel.SUPPORTED
-    assert report.diagnostics.parse_fallbacks == 0
+    assert report.parse_fallbacks == 0
     assert 1 <= len(report.evidence) <= 4
     assert report.evidence[0].scraped_text == "the comet passed in 1910"
 
@@ -384,7 +378,7 @@ def test_run_claim_non_string_keypoint_reply_falls_back_to_claim_only():
     report = run_claim(ClaimRecord(claim_id=0, text="alpha"), store, Gateway(backend), CFG,
                        LIBRARY)
     assert report.verdict is VerdictLabel.SUPPORTED
-    assert report.diagnostics.parse_fallbacks == 1
+    assert report.parse_fallbacks == 1
     claim_only = run_retrieval(store, KeyPointSet(), "alpha", CFG)
     _, user = build_prediction_prompt("alpha", build_unified_string(claim_only), LIBRARY)
     assert backend.calls_for(0)[-1].user_message == user
@@ -400,7 +394,7 @@ def test_run_claim_keypoint_failure_still_produces_report():
     record = ClaimRecord(claim_id=0, text="alpha beta")
     report = run_claim(record, store, Gateway(MockBackend(script)), CFG, LIBRARY)
     assert report.verdict is VerdictLabel.REFUTED
-    assert report.diagnostics.parse_fallbacks == 1
+    assert report.parse_fallbacks == 1
 
 
 @pytest.fixture

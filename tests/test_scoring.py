@@ -277,6 +277,15 @@ def test_evidence_score_normalizes_by_gold_count():
     assert value == pytest.approx(IDENTITY_6 / 2, abs=1e-9)
 
 
+def test_evidence_score_sum_is_correctly_rounded(monkeypatch):
+    # the plain left-to-right sum of 0.1, 0.2 and 0.3 is 0.6000000000000001 before
+    # Python 3.12, so only a correctly rounded sum gives the same score everywhere
+    monkeypatch.setattr(scoring, "meteor",
+                        lambda pred, variants, stemming=False:
+                        float(pred) if variants == [pred] else 0.0)
+    assert evidence_score(["0.1", "0.2", "0.3"], ["0.1", "0.2", "0.3"]) == 0.6 / 3
+
+
 def test_evidence_score_empty_pred_is_zero():
     assert evidence_score([], ["gold string"]) == 0.0
     with pytest.raises(ValueError, match="evidence_score needs at least one gold string"):
