@@ -63,6 +63,8 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     in no hypothesis bigram the reference shares can never link, so its matches are counted
     as one-token chunks and its positions only break runs in the search.
     """
+    if set(hyp).isdisjoint(ref):  # most pairs share no token: skip the counting
+        return 0, 0
     h_count, r_count = Counter(hyp), Counter(ref)
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
     m, n = sum(need.values()), len(hyp)

@@ -19,6 +19,23 @@ def make_store(passage_lists, claim_id=0):
     return KnowledgeStore(claim_id=claim_id, entries=entries)
 
 
+def reference_tokenize(text):
+    """Tokens by a per-character loop over the lowered text: a token is a
+    maximal run of characters for which ``str.isalnum()`` holds (Python's
+    ``\\w`` is exactly that plus the underscore), independent of the regex
+    and the ASCII table in ``zsl_kep.bm25``."""
+    tokens, run = [], []
+    for ch in text.lower():
+        if ch.isalnum():
+            run.append(ch)
+        elif run:
+            tokens.append("".join(run))
+            run = []
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
 def naive_bm25_scores(passages, query, k1=1.2, b=0.75):
     """Score every passage by recounting term frequencies from the text."""
     docs = [tokenize(p) for p in passages]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zsl_kep.bm25 import build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
 
-from helpers import make_store, naive_bm25_scores
+from helpers import make_store, naive_bm25_scores, reference_tokenize
 
 
 def test_tokenize_rules():
@@ -16,6 +16,34 @@ def test_tokenize_rules():
     assert tokenize("COVID-19 cases") == ["covid", "19", "cases"]
     # underscore is not alphanumeric: citation ids split apart
     assert tokenize("see <3_1>") == ["see", "3", "1"]
+
+
+_TOKENIZER_CASES = [
+    "snake_case_id", "__x__", "\x00a\x00", "a\x1cb\x1dc\x1ed\x1fe", "a\x7fb", "\tA\x0bB\x0cC\r\n",
+    "İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "x² ½ ٣", "Straße STRASSE", "ǅungla", "e\u0301t\u00e9", "a\u00a0b\u2028c",
+]
+
+
+@pytest.mark.parametrize("text", _TOKENIZER_CASES)
+def test_tokenize_matches_reference_cases(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_tokenize_non_ascii_lowers_before_splitting():
+    # 'İ' lowers to 'i' and a combining dot, which splits; a final sigma lowers to 'ς'
+    assert tokenize("İstanbul") == ["i", "stanbul"]
+    assert tokenize("ΟΔΟΣ") == ["οδος"]
+    assert tokenize("x² a_b") == ["x²", "a", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(st.characters(max_codepoint=127)),
+    st.text(st.sampled_from("aZ09_ -.\x00\x1c\x1f\x7fİΣσς²é\u0301\u00a0")),
+    st.text(),
+))
+def test_tokenize_matches_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_build_index_counts():

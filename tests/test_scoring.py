@@ -21,6 +21,10 @@ def test_meteor_disjoint_is_zero():
     assert meteor("aa bb", ["cc dd"]) == 0.0
 
 
+def test_alignment_disjoint_pair_has_no_matches():
+    assert scoring._alignment(["aa", "bb"], ["cc"]) == (0, 0)
+
+
 def test_meteor_identity_six_tokens():
     got = meteor("the cat sat on the mat", ["the cat sat on the mat"])
     assert got == pytest.approx(IDENTITY_6, abs=1e-9)
