@@ -62,6 +62,18 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     after it a node budget caps the search (minimal chunks is NP-hard in general). A type
     in no hypothesis bigram the reference shares can never link, so its matches are counted
     as one-token chunks and its positions only break runs in the search.
+
+    Two bounds prune without changing the result. A match joins its predecessor's chunk
+    only where a hypothesis bigram lands on the same reference bigram (chunks are runs
+    adjacent on both sides, Banerjee & Lavie 2005), and each such link uses one bigram
+    occurrence on each side: so no alignment of m matches has fewer than
+    m - min(m - 1, links) chunks, with links the sum over bigram types of the smaller
+    count, and the search returns as soon as it reaches that floor (the adjacency bound of
+    minimum common string partition, Goldstein, Kilman & Zheng 2005). Per state, each
+    match still to place at or after position i starts a chunk unless it follows a match
+    through one of the reach[i] shared bigrams at positions i-1 onward, so a state whose
+    chunks plus the excess of its remaining matches over reach[i] cannot beat the best
+    complete alignment is cut.
     """
     if set(hyp).isdisjoint(ref):  # most pairs share no token: skip the counting
         return 0, 0
@@ -70,21 +82,24 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     m, n = sum(need.values()), len(hyp)
     if m == 0:
         return 0, 0
-    shared = set(zip(ref, ref[1:]))
-    linked = {t for pair in zip(hyp, hyp[1:]) if pair in shared for t in pair}
+    shared, hyp_bigrams = Counter(zip(ref, ref[1:])), list(zip(hyp, hyp[1:]))
+    linked = {t for pair in hyp_bigrams if pair in shared for t in pair}
     if not linked:
         return m, m
     need = {t: need[t] for t in linked}  # the other types' positions only break runs
     lone = m - sum(need.values())
     m -= lone  # from here on, the matches the search places
+    floor = m - min(m - 1, sum((Counter(hyp_bigrams) & shared).values()))
     ref_positions: dict[str, list[int]] = {}
     for pos, tok in enumerate(ref):
         if tok in need:
             ref_positions.setdefault(tok, []).append(pos)
     later, seen = [0] * n, {}  # later[i]: occurrences of hyp[i] in hyp[i+1:]
+    reach = [0] * (n + 1)  # reach[i]: shared hypothesis bigrams starting at i-1 or later
     for i in range(n - 1, -1, -1):
         later[i] = seen.get(hyp[i], 0)
         seen[hyp[i]] = later[i] + 1
+        reach[i] = reach[i + 1] + (i > 0 and (hyp[i - 1], hyp[i]) in shared)
 
     best, nodes = m + 1, 0
     # frames (i, remaining, used, prev, chunks, todo): a state at position i and its untried
@@ -101,9 +116,11 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
                 remaining, used = remaining - 1, used | 1 << pos
                 chunks += pos != prev + 1
             i, prev = i + 1, pos
-            if chunks >= best or (remaining and i == n):
+            if chunks >= best or chunks + remaining - reach[i] >= best or (remaining and i == n):
                 break
             if remaining == 0:
+                if chunks == floor:
+                    return m + lone, chunks + lone
                 best = chunks
                 break
             nodes += best <= m  # counted once a complete alignment exists

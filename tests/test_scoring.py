@@ -3,14 +3,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zsl_kep import scoring
 from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, GoldQA,
                             MalformedInput, VerdictLabel, VerdictReport)
 from zsl_kep.scoring import evidence_score, hungarian_max, meteor, score_run
 
-from helpers import brute_force_assignment, independent_meteor
+from helpers import brute_force_assignment, chunk_floor, enumerated_alignment, independent_meteor
 
 IDENTITY_6 = 1.0 - 0.5 / 216.0  # six-token self match, one chunk
 
@@ -119,6 +119,45 @@ def test_alignment_exact_where_the_full_search_hits_the_budget():
     ref = ("to w25 w18 w3 in and what is and what w4 w3 and for w3 w26 w32 to on on w18 the "
            "a to is and on").split()
     assert scoring._alignment(hyp, ref) == (16, 14)
+
+
+def _small_pairs(min_size):
+    """Pairs of at most 8 tokens from 2-4 words."""
+    return st.integers(2, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.sampled_from("abcd"[:k]), min_size=min_size, max_size=8),
+        st.lists(st.sampled_from("abcd"[:k]), min_size=min_size, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_pairs(1))
+def test_chunk_floor_never_exceeds_the_enumerated_optimum(pair):
+    hyp, ref = pair
+    m, chunks = enumerated_alignment(hyp, ref)
+    assert chunk_floor(hyp, ref) <= chunks
+    assert scoring._alignment(hyp, ref) == (m, chunks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_pairs(5))  # longer pairs: the floor is loose on about a third of them
+def test_alignment_is_exact_where_the_chunk_floor_is_not_tight(pair):
+    # no early return here: the search ends only when the per-state bound has
+    # cut or finished every branch
+    hyp, ref = pair
+    m, chunks = enumerated_alignment(hyp, ref)
+    assume(chunk_floor(hyp, ref) < chunks)
+    assert scoring._alignment(hyp, ref) == (m, chunks)
+
+
+def test_chunk_floor_by_hand():
+    # links: (a, b) twice and (b, c) once on both sides: 5 matches, at least 2 chunks
+    hyp, ref = "a b c a b".split(), "a b a b c".split()
+    assert chunk_floor(hyp, ref) == 2
+    assert enumerated_alignment(hyp, ref) == scoring._alignment(hyp, ref) == (5, 2)
+    # (a, b) once and (b, a) once: the floor says 2, but no alignment has fewer than 3
+    hyp, ref = "a b a b".split(), "a b b a".split()
+    assert chunk_floor(hyp, ref) == 2
+    assert enumerated_alignment(hyp, ref) == scoring._alignment(hyp, ref) == (4, 3)
+    assert chunk_floor("a b c".split(), "c b a".split()) == 3  # no shared bigram
 
 
 def _blocks_shuffled(words: list[str], size: int) -> list[str]:
