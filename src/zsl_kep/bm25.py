@@ -42,28 +42,17 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_TABLE = str.maketrans({chr(c): " " for c in range(128)}
                              | {c: c.lower() for c in string.ascii_letters + string.digits})
 
-# punctuation and spaces common in web text (curly quotes, dashes, ellipsis,
-# no-break space): each is \W and caseless, so a space in its place leaves the
-# tokens as they were and lets otherwise ASCII text take the table path
-_SEPARATORS = "\u2018\u2019\u201c\u201d\u2013\u2014\u2026\u00a0"
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on every maximal run of non-alphanumeric characters.
 
     ASCII text takes a translate-and-split path that gives the regex's tokens
-    at a fraction of its cost, and so does text that is ASCII once its
-    _SEPARATORS are spaces; any other text is lowered whole and split by the
-    regex.
+    at a fraction of its cost; any other text is lowered whole and split by
+    the regex.
     """
-    if not text.isascii():
-        plain = text
-        for separator in _SEPARATORS:
-            plain = plain.replace(separator, " ")
-        if not plain.isascii():
-            return _TOKEN_RE.findall(text.lower())
-        text = plain
-    return text.translate(_ASCII_TABLE).split()
+    if text.isascii():
+        return text.translate(_ASCII_TABLE).split()
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass

@@ -63,17 +63,18 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     in no hypothesis bigram the reference shares can never link, so its matches are counted
     as one-token chunks and its positions only break runs in the search.
 
-    Two bounds prune without changing the result. A match joins its predecessor's chunk
-    only where a hypothesis bigram lands on the same reference bigram (chunks are runs
-    adjacent on both sides, Banerjee & Lavie 2005), and each such link uses one bigram
-    occurrence on each side: so no alignment of m matches has fewer than
-    m - min(m - 1, links) chunks, with links the sum over bigram types of the smaller
-    count, and the search returns as soon as it reaches that floor (the adjacency bound of
-    minimum common string partition, Goldstein, Kilman & Zheng 2005). Per state, each
-    match still to place at or after position i starts a chunk unless it follows a match
-    through one of the reach[i] shared bigrams at positions i-1 onward, so a state whose
-    chunks plus the excess of its remaining matches over reach[i] cannot beat the best
-    complete alignment is cut.
+    Two bounds prune the search. Where it completes, they leave its result as it was;
+    where the node budget cuts it, the nodes they save can only lower the chunk count it
+    returns. A match joins its predecessor's chunk only where a hypothesis bigram lands on
+    the same reference bigram (chunks are runs adjacent on both sides, Banerjee & Lavie
+    2005), and each such link uses one bigram occurrence on each side: so no alignment of
+    m matches has fewer than m - min(m - 1, links) chunks, with links the sum over bigram
+    types of the smaller count, and the search returns as soon as it reaches that floor
+    (the adjacency bound of minimum common string partition, Goldstein, Kilman & Zheng
+    2005). Per state, each match still to place at or after position i starts a chunk
+    unless it follows a match through one of the reach[i] shared bigrams at positions i-1
+    onward, so a state whose chunks plus the excess of its remaining matches over reach[i]
+    cannot beat the best complete alignment is cut.
     """
     if set(hyp).isdisjoint(ref):  # most pairs share no token: skip the counting
         return 0, 0
@@ -116,7 +117,8 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
                 remaining, used = remaining - 1, used | 1 << pos
                 chunks += pos != prev + 1
             i, prev = i + 1, pos
-            if chunks >= best or chunks + remaining - reach[i] >= best or (remaining and i == n):
+            excess = remaining - reach[i]  # at least this many matches left start a chunk
+            if chunks + (excess if excess > 0 else 0) >= best or (remaining and i == n):
                 break
             if remaining == 0:
                 if chunks == floor:

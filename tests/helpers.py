@@ -130,38 +130,6 @@ def independent_meteor(hypothesis, references):
     return best
 
 
-def enumerated_alignment(hyp, ref):
-    """(matches, minimal chunks) over every maximum one-to-one alignment of two
-    token lists, enumerated position by position: a chunk starts at every
-    matched hypothesis position whose predecessor is not matched to the
-    reference position just before."""
-    need = {t: min(hyp.count(t), ref.count(t)) for t in set(hyp)}
-    match, used = [None] * len(hyp), [False] * len(ref)
-    best = None
-
-    def extend(i):
-        nonlocal best
-        if i == len(hyp):
-            chunks = sum(1 for h, j in enumerate(match)
-                         if j is not None and (h == 0 or match[h - 1] != j - 1))
-            best = chunks if best is None else min(best, chunks)
-            return
-        tok = hyp[i]
-        if need[tok]:
-            need[tok] -= 1
-            for j, r in enumerate(ref):
-                if r == tok and not used[j]:
-                    match[i], used[j] = j, True
-                    extend(i + 1)
-                    match[i], used[j] = None, False
-            need[tok] += 1
-        if hyp[i + 1:].count(tok) >= need[tok]:  # skip only while the rest can still match
-            extend(i + 1)
-
-    extend(0)
-    return sum(need.values()), best
-
-
 def chunk_floor(hyp, ref):
     """Fewest chunks the adjacency count allows a maximum alignment: a match
     continues a chunk only through a hypothesis bigram that lands on the same
