@@ -17,7 +17,8 @@ import sys
 from dataclasses import asdict
 
 from .config import ConfigError, RunConfig
-from .corpus import MalformedInput, load_claims, load_predictions, load_store, write_predictions
+from .corpus import (MalformedInput, load_claims, load_predictions, load_store, write_json,
+                     write_predictions)
 from .keypoints import KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints
 from .llm_gateway import Gateway, HttpBackend, MockBackend
 from .pipeline import build_unified_string, run_batch, run_retrieval, store_path_for
@@ -91,9 +92,7 @@ def cmd_score(args) -> int:
     _log(f"averitec={result.aggregate['averitec']:.4f}")
 
     report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, result.to_dict())
     _log(f"wrote score report to {report_path}")
     return 0
 

@@ -7,6 +7,7 @@ used everywhere downstream.
 """
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -145,6 +146,22 @@ def read_json(path):
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def write_json(path, data, ensure_ascii: bool = True) -> None:
+    """Write ``data`` as indented JSON to a temp file beside ``path``, then
+    rename it over ``path``: a write that fails partway leaves an earlier file
+    whole and no temp file behind."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, ensure_ascii=ensure_ascii)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def load_claims(path) -> list[ClaimRecord]:
     """Read a claims file: a JSON array of objects with ``claim`` and,
     in gold files, ``label`` plus ``questions``."""
@@ -260,9 +277,7 @@ def write_predictions(path, reports: list[VerdictReport]) -> None:
                 for ev in rep.evidence
             ],
         })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_json(path, rows, ensure_ascii=False)
 
 
 def _typed(row: dict, key: str, kind: type = str):

@@ -7,13 +7,10 @@ recovering from those (by shrinking the prompt) is the pipeline's job, and the
 two failure kinds must stay distinguishable for that to work.
 """
 
-import http.client
 import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -151,10 +148,14 @@ class MockBackend:
 
 
 class HttpBackend:
-    """POSTs to ``{base_url}/chat/completions`` in the OpenAI chat format."""
+    """POSTs to ``{base_url}/chat/completions`` in the OpenAI chat format.
+
+    ``transport`` stands in for ``urllib.request.urlopen``, the default. The
+    HTTP modules are imported on the first send, so a mock run never loads
+    them (or ``ssl``)."""
 
     def __init__(self, base_url: str, model_name: str, api_key: "str | None" = None,
-                 timeout: float = 120.0, transport=urllib.request.urlopen):
+                 timeout: float = 120.0, transport=None):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -162,6 +163,10 @@ class HttpBackend:
         self._urlopen = transport
 
     def send(self, request: ChatRequest, claim_id: "int | None" = None) -> ChatResponse:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.model_name,
             "messages": [
@@ -175,12 +180,13 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        urlopen = self._urlopen or urllib.request.urlopen
         try:
             http_request = urllib.request.Request(  # ValueError on a malformed base_url
                 f"{self.base_url}/chat/completions", data=json.dumps(payload).encode("utf-8"),
                 headers=headers, method="POST")
             try:
-                resp = self._urlopen(http_request, timeout=self.timeout)
+                resp = urlopen(http_request, timeout=self.timeout)
             except urllib.error.HTTPError as exc:
                 resp = exc  # an error reply still carries its status and body
             with resp:

@@ -21,6 +21,7 @@ def test_tokenize_rules():
 _TOKENIZER_CASES = [
     "snake_case_id", "__x__", "\x00a\x00", "a\x1cb\x1dc\x1ed\x1fe", "a\x7fb", "\tA\x0bB\x0cC\r\n",
     "İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "x² ½ ٣", "Straße STRASSE", "ǅungla", "e\u0301t\u00e9", "a\u00a0b\u2028c",
+    "\u201cΟΔΟΣ\u201d\u2014İ\u2026it\u2019s\u00a0\u2018x\u2013y\u2019",
 ]
 
 
@@ -40,6 +41,9 @@ def test_tokenize_non_ascii_lowers_before_splitting():
 @given(st.one_of(
     st.text(st.characters(max_codepoint=127)),
     st.text(st.sampled_from("aZ09_ -.\x00\x1c\x1f\x7fİΣσς²é\u0301\u00a0")),
+    # typographic separators mixed with text whose lowering is context dependent
+    st.lists(st.sampled_from(["a", "Z9", " ", "_", "\u2018", "\u2019", "\u201c", "\u201d",
+                              "\u2013", "\u2014", "\u2026", "\u00a0", "İ", "ΟΔΟΣ"])).map("".join),
     st.text(),
 ))
 def test_tokenize_matches_reference(text):
@@ -49,39 +53,49 @@ def test_tokenize_matches_reference(text):
 def test_build_index_counts():
     store = make_store([["a b", "c d", "e"], ["f g", "h"]])
     index = build_index(store, ["a h"])
-    assert len(index.doc_refs) == 5
-    assert index.doc_refs[0] == DocRef(0, 0)
-    assert index.doc_refs[4] == DocRef(1, 1)
+    assert len(index.locations) == 5
+    assert index.locations[0] == (0, 0)
+    assert index.locations[4] == (1, 1)
 
 
 def test_build_index_skips_empty_passage():
     store = make_store([["a b", "", "c"]])
     index = build_index(store, ["a c"])
-    assert len(index.doc_refs) == 2
-    assert DocRef(0, 1) not in index.doc_refs
+    assert len(index.locations) == 2
+    assert (0, 1) not in index.locations
     # neighbouring ids unchanged
-    assert index.doc_refs == [DocRef(0, 0), DocRef(0, 2)]
+    assert index.locations == [(0, 0), (0, 2)]
 
 
 def test_doc_frequencies_by_hand():
     index = build_index(make_store([["a b", "b c b"]]), ["a b", "c"])
     assert {term: len(plist) for term, plist in index.postings.items()} == {"a": 1, "b": 2, "c": 1}
     assert index.postings["b"] == [0, 1]
-    assert index.term_freqs["b"] == [1, 2]
+    # lengths 2 and 3, so avg 2.5; k1 = 1.2 and b = 0.75 by default
+    norms = [1.2 * (1.0 - 0.75 + 0.75 * length / 2.5) for length in (2, 3)]
+    idf = {df: math.log(1.0 + (2 - df + 0.5) / (df + 0.5)) for df in (1, 2)}
+    assert index.impacts == {
+        "a": [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[0])],
+        "b": [idf[2] * 1 * (1.2 + 1.0) / (1 + norms[0]), idf[2] * 2 * (1.2 + 1.0) / (2 + norms[1])],
+        "c": [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[1])],
+    }
     with pytest.raises(KeyError):  # a miss does not grow the index
         index.postings["zz"]
 
 
 def test_indexed_term_without_posting_has_no_hits():
     index = build_index(make_store([["a b", "b c"]]), ["a zz"])
-    assert index.postings["zz"] == [] and index.term_freqs["zz"] == []
+    assert index.postings["zz"] == [] and index.impacts["zz"] == []
+    # both passages have length 2, so the norm is k1 = 1.2
+    idf = math.log(1.0 + (2 - 1 + 0.5) / (1 + 0.5))
+    assert index.impacts["a"] == [idf * 1 * (1.2 + 1.0) / (1 + 1.2)]
     assert retrieve(index, "zz", 10) == []
     assert [d.ref for d in retrieve(index, "zz a", 10)] == [DocRef(0, 0)]
 
 
 def test_unindexed_query_term_raises():
     index = build_index(make_store([["a b", "b c"]]), ["a"])
-    assert set(index.postings) == set(index.term_freqs) == {"a"}
+    assert set(index.postings) == set(index.impacts) == {"a"}
     # "b" is in the store but in no indexed query: never scored as df = 0
     for query in ("b", "a b", "qq"):
         with pytest.raises(KeyError):
@@ -91,7 +105,7 @@ def test_unindexed_query_term_raises():
 def _scores(index, query):
     """Every passage's BM25 score for ``query``; passages retrieve leaves out
     scored zero."""
-    return {d.ref: d.score for d in retrieve(index, query, len(index.doc_refs))}
+    return {d.ref: d.score for d in retrieve(index, query, len(index.locations))}
 
 
 def test_score_hand_evaluated():
@@ -193,7 +207,7 @@ def test_postings_score_equals_naive_recount(passages, query):
     scores = _scores(index, query)
     for ordinal, i in enumerate(kept):
         assert scores.get(DocRef(0, i), 0.0) == pytest.approx(oracle[ordinal], abs=1e-9)
-    assert len(index.doc_refs) == len(kept)
+    assert len(index.locations) == len(kept)
 
 
 _FUNCTION_WORDS = ["the", "of", "and", "to", "a", "in", "is", "that"]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,6 +212,22 @@ def test_write_predictions_empty(tmp_path):
     path = tmp_path / "pred.json"
     write_predictions(path, [])
     assert json.loads(path.read_text(encoding="utf-8")) == []
+
+
+def test_write_predictions_failing_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "pred.json"
+    write_predictions(path, [_report(0, VerdictLabel.SUPPORTED, [])])
+    before = path.read_bytes()
+    # the dump has written a whole row, 64 KiB of justification, when it
+    # reaches the claim it cannot encode
+    long = _report(1, VerdictLabel.REFUTED, [])
+    long.justification = "x" * 65536
+    broken = _report(2, VerdictLabel.REFUTED, [])
+    broken.claim = object()
+    with pytest.raises(TypeError):
+        write_predictions(path, [long, broken])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["pred.json"]
 
 
 def test_predictions_round_trip(tmp_path):

@@ -23,3 +23,15 @@ def test_cli_import_needs_only_the_stdlib():
     assert "zsl_kep" in out
     assert [name for name in out
             if name != "zsl_kep" and name not in sys.stdlib_module_names] == []
+
+
+def test_cli_import_loads_no_http_stack():
+    """Only an HTTP send needs ``http.client`` and ``urllib.request`` (and
+    through them ``ssl``): a mock run, ``score`` and ``inspect`` never load them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsl_kep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, zsl_kep.cli; print(' '.join(sys.modules))"],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout.split()
+    assert {"ssl", "http.client", "urllib.request"}.isdisjoint(loaded)

@@ -271,7 +271,7 @@ def test_group_scores_align_with_docs_through_truncation():
     store, groups = _truncation_fixture()
     index = build_index(store, [group.query for group in groups])
     for group in groups:
-        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, len(index.doc_refs))}
+        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, len(index.locations))}
         assert group.scores == [score_of[ref] for ref, _ in group.docs]
     for caps in ((55, 9), (27, 4), (1, 1)):
         for cut, full in zip(_truncate_groups(groups, *caps), groups):
