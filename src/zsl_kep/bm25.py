@@ -18,17 +18,27 @@ empty if none does) with each posting's impact, its whole term of the sum
 above, computed once at build time (``impacts``, Anh & Moffat 2006). Per
 ordinal it keeps the passage's ``(url_index, text_index)``, and a ``DocRef``
 is made only for a passage that is returned. A term of no indexed query
-raises ``KeyError``. A claim's queries touch each posting two or three times
-on a 30,000-passage store, so the impacts cut retrieval there by about two
-fifths: 0.52 to 0.31 s for the four seed-5 ``large_store`` claims, median of
-eight runs on a 2-vCPU VM with Python 3.11. Scores are the same floats,
-summed in the same order, as a direct evaluation of the formula.
+raises ``KeyError``.
+
+Per term the index also keeps its largest impact (``ceilings``), so
+``retrieve`` can stop early, as MaxScore does (Turtle & Flood 1995). It
+visits the query's terms rarest first and gathers the passages holding the
+terms visited so far. Once scoring these candidates costs no more than the
+postings still ahead, it scores them exactly and compares the k-th best with
+the sum of the unvisited terms' ceilings. Float addition is monotone and no
+impact is negative, so a passage holding none of the visited terms scores at
+most that sum. When the k-th score is strictly above it, no such passage can
+beat or tie a hit, and the candidates' top k is the answer, ties included;
+otherwise every posting is summed. Either way each score adds its impacts in
+query-term order from 0.0, the same floats in the same order as a direct
+evaluation of the formula.
 """
 
 import heapq
 import math
 import re
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .corpus import DocRef, KnowledgeStore
@@ -69,6 +79,7 @@ class Bm25Index:
     locations: list[tuple[int, int]]
     postings: dict[str, list[int]]
     impacts: dict[str, list[float]]
+    ceilings: dict[str, float]
 
 
 def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
@@ -105,7 +116,8 @@ def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         impacts[term] = [idf * tf * (k1 + 1.0) / (tf + norms[o])
                          for o, tf in zip(plist, term_freqs[term])]
-    return Bm25Index(locations, postings, impacts)
+    ceilings = {term: max(values, default=0.0) for term, values in impacts.items()}
+    return Bm25Index(locations, postings, impacts, ceilings)
 
 
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
@@ -113,12 +125,51 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     (url_index, text_index)."""
     if top_k <= 0 or not index.locations:
         return []
+    postings = index.postings
+    terms = list(dict.fromkeys(tokenize(query)))
+    rarest = sorted(terms, key=lambda t: len(postings[t]))
+    rest = sum(len(postings[t]) for t in terms)
+    candidates: set[int] = set()
+    for depth, term in enumerate(rarest[:-1], start=1):
+        candidates.update(postings[term])
+        rest -= len(postings[term])
+        # scoring the candidates exactly must cost no more than the postings it skips
+        if len(candidates) >= top_k and len(candidates) * len(terms) <= rest:
+            best = _decided_top(index, terms, set(rarest[depth:]), candidates, top_k)
+            if best is not None:
+                return _hits(index, best)
+
     scores: dict[int, float] = {}
     get = scores.get
-    for term in dict.fromkeys(tokenize(query)):
-        for ordinal, impact in zip(index.postings[term], index.impacts[term]):
+    for term in terms:
+        for ordinal, impact in zip(postings[term], index.impacts[term]):
             scores[ordinal] = get(ordinal, 0.0) + impact
-
     # ordinals follow (url_index, text_index) order, so they break ties alike
-    best = heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items() if s > 0.0))
+    return _hits(index, heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items() if s > 0.0)))
+
+
+def _decided_top(index: Bm25Index, terms: list[str], unvisited: set[str],
+                 candidates: set[int], top_k: int) -> list[tuple[float, int]] | None:
+    """The top k of ``candidates``, scored exactly, if no passage outside them
+    can reach it, else None. Outside passages hold only ``unvisited`` terms,
+    so each scores at most those terms' ceilings summed in query order."""
+    scored = []
+    for ordinal in candidates:
+        score = 0.0
+        for term in terms:  # query order, so the same float as the accumulation
+            plist = index.postings[term]
+            i = bisect_left(plist, ordinal)
+            if i < len(plist) and plist[i] == ordinal:
+                score += index.impacts[term][i]
+        scored.append((-score, ordinal))
+    ceiling = 0.0
+    for term in terms:  # a loop: sum() rounds floats differently from Python 3.12
+        if term in unvisited:
+            ceiling += index.ceilings[term]
+    best = heapq.nsmallest(top_k, scored)
+    # strictly above: an outside passage can neither beat nor tie a hit
+    return best if -best[-1][0] > ceiling else None
+
+
+def _hits(index: Bm25Index, best: list[tuple[float, int]]) -> list[ScoredDoc]:
     return [ScoredDoc(ref=DocRef(*index.locations[o]), score=-neg) for neg, o in best]

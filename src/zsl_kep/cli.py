@@ -37,6 +37,12 @@ def _build_gateway(cfg: RunConfig) -> Gateway:
     return Gateway(backend, max_attempts=cfg.max_attempts, prompt_budget=cfg.prompt_budget)
 
 
+def _writable(path: str) -> bool:
+    """Whether ``path`` names a file in an existing directory; checked before
+    the work whose result it is to hold."""
+    return os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)
+
+
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.output:
@@ -53,8 +59,7 @@ def cmd_run(args) -> int:
         if not os.path.exists(store_path):
             _log(f"error: missing knowledge store {store_path}")
             return 1
-    out_dir = os.path.dirname(cfg.output_path) or "."
-    if not os.path.isdir(out_dir) or os.path.isdir(cfg.output_path):
+    if not _writable(cfg.output_path):
         _log(f"error: cannot write predictions to {cfg.output_path}")
         return 1
 
@@ -83,15 +88,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_score(args) -> int:
+    report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
     gold = load_claims(args.gold)
     reports = load_predictions(args.pred)
+    if not _writable(report_path):
+        _log(f"error: cannot write score report to {report_path}")
+        return 1
     result = score_run(reports, gold, stemming=args.stemming)
 
     _log(f"q_only={result.aggregate['q_only']:.4f}")
     _log(f"q_plus_a={result.aggregate['q_plus_a']:.4f}")
     _log(f"averitec={result.aggregate['averitec']:.4f}")
 
-    report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
     write_json(report_path, result.to_dict())
     _log(f"wrote score report to {report_path}")
     return 0

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsl_kep.bm25 import build_index, retrieve, tokenize
+import zsl_kep.bm25 as bm25
+from zsl_kep.bm25 import Bm25Index, ScoredDoc, build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
 
 from helpers import make_store, naive_bm25_scores, reference_tokenize
@@ -257,3 +258,104 @@ def test_retrieve_equals_exact_oracle_prefix():
             for k in (0, 1, 12, 70, n):
                 got = [(d.ref, d.score) for d in retrieve(index, query, k)]
                 assert got == expected[:k]
+
+
+class _Unreadable(list):
+    """Impacts that may be indexed but not iterated: only the dict
+    accumulation, which a pruned query never reaches, walks a whole list."""
+
+    def __iter__(self):
+        raise AssertionError("a whole impact list was read")
+
+
+def _oracle_ranking(kept, query):
+    oracle = naive_bm25_scores([passage for _, passage in kept], query)
+    return sorted(((ref, s) for (ref, _), s in zip(kept, oracle) if s > 0.0),
+                  key=lambda pair: (-pair[1], pair[0].url_index, pair[0].text_index))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every pruning check retrieve runs, as True where it decided the top k."""
+    decided, seen = bm25._decided_top, []
+
+    def recording(*args):
+        best = decided(*args)
+        seen.append(best is not None)
+        return best
+
+    monkeypatch.setattr(bm25, "_decided_top", recording)
+    return seen
+
+
+def test_rare_terms_decide_without_reading_the_common_term(checks):
+    # "the" is in every passage; "mark" and "sign" in three and two of them
+    passages = [f"the w{i} the" for i in range(40)]
+    for i, extra in ((3, "mark"), (17, "mark sign"), (29, "mark"), (35, "sign")):
+        passages[i] += " " + extra
+    store = make_store([passages[:20], passages[20:]])
+    kept = [(DocRef(i // 20, i % 20), p) for i, p in enumerate(passages)]
+    query = "the mark sign"
+    index = build_index(store, [query])
+    index.impacts["the"] = _Unreadable(index.impacts["the"])
+    expected = _oracle_ranking(kept, query)
+    for k in range(1, 5):
+        assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
+    assert checks and all(checks)
+    # five candidates hold a rare term: a top 6 needs the common term's whole list
+    with pytest.raises(AssertionError, match="whole impact list"):
+        retrieve(index, query, 6)
+
+
+def test_passage_outside_the_candidates_tying_the_kth_hit_wins_by_ordinal(checks):
+    # by hand: passage 2 alone holds "x" and scores 1.0, the ceiling of "y",
+    # which passage 0 reaches; the tie goes to the lower ordinal
+    index = Bm25Index(locations=[(0, 0), (0, 1), (0, 2), (0, 3)],
+                      postings={"x": [2], "y": [0, 1, 3]},
+                      impacts={"x": [1.0], "y": [1.0, 0.5, 0.5]},
+                      ceilings={"x": 1.0, "y": 1.0})
+    assert retrieve(index, "x y", 1) == [ScoredDoc(DocRef(0, 0), 1.0)]
+    assert retrieve(index, "x y", 2) == [ScoredDoc(DocRef(0, 0), 1.0), ScoredDoc(DocRef(0, 2), 1.0)]
+    assert checks == [False]
+
+
+def test_pruned_cut_inside_tie_groups_equals_oracle(checks):
+    """Rare terms planted in exact duplicates, so the k-th hit ties with the
+    next ones; every k from 0 to n matches the oracle to the last bit."""
+    rng = random.Random(1995)
+    ties_at_pruned_cut = 0
+    for _ in range(40):
+        vocab, weights, passage_lists = _zipf_passage_lists(rng)
+        rare = [f"r{i}" for i in range(rng.randint(1, 3))]
+        for term in rare:
+            planted = " ".join(rng.choices(vocab, weights, k=rng.randint(1, 12)) + [term])
+            for _ in range(rng.randint(1, 4)):
+                passages = rng.choice(passage_lists)
+                passages.insert(rng.randint(0, len(passages)), planted)
+        kept = [(DocRef(u, t), passage) for u, passages in enumerate(passage_lists)
+                for t, passage in enumerate(passages) if passage]
+        n = sum(len(passages) for passages in passage_lists)
+        query = " ".join(rare + rng.sample(_FUNCTION_WORDS, rng.randint(1, 4)))
+        index = build_index(make_store(passage_lists), [query])
+        expected = _oracle_ranking(kept, query)
+        for k in range(n + 1):
+            before = checks.count(True)
+            assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
+            if checks.count(True) > before and k < len(expected):
+                ties_at_pruned_cut += expected[k - 1][1] == expected[k][1]
+    assert ties_at_pruned_cut > 0
+
+
+def test_function_word_query_never_prunes(checks):
+    rng = random.Random(2006)
+    # every passage holds every query term, so no term is rarer than another
+    passage_lists = [[" ".join(rng.choices(_FUNCTION_WORDS, k=rng.randint(0, 12)) + ["the of a"])
+                      for _ in range(30)] for _ in range(3)]
+    kept = [(DocRef(u, t), p) for u, passages in enumerate(passage_lists)
+            for t, p in enumerate(passages)]
+    query = "the of a"
+    index = build_index(make_store(passage_lists), [query])
+    expected = _oracle_ranking(kept, query)
+    for k in (1, 5, 15, 90):
+        assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
+    assert checks == []

@@ -282,6 +282,23 @@ def test_score_default_report_path(tmp_path, capsys):
     assert (tmp_path / "pred.scores.json").exists()
 
 
+@pytest.mark.parametrize("report", ["missing/r.json", "."])
+def test_score_rejects_unusable_report_before_scoring(tmp_path, capsys, monkeypatch, report):
+    import zsl_kep.cli as cli_mod
+    out = tmp_path / "pred.json"
+    main(["run", "--config", E2E_CONFIG, "--output", str(out)])
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr(cli_mod, "score_run", lambda *a, **kw: scored.append(a))
+    path = tmp_path / report
+    assert main(["score", "--pred", str(out), "--gold", str(FIXTURE_DIR / "claims.json"),
+                 "--report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write score report to {path}\n"
+    assert scored == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.json"]
+
+
 def test_score_missing_gold_field(tmp_path, capsys):
     out = tmp_path / "pred.json"
     main(["run", "--config", E2E_CONFIG, "--output", str(out)])
