@@ -5,9 +5,9 @@ The retrieval unit is the individual passage, scored with
     score(d, q) = sum over unique query terms t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg_len))
 
-with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive,
-so any passage sharing a term with the query scores above zero and
-zero-score passages are never returned.
+with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive;
+so is every term of the sum under the k1 >= 0 and 0 <= b <= 1 that
+``build_index`` enforces, and zero-score passages are never returned.
 
 An index serves the queries it was built for and holds their terms only:
 scoring needs just their df and every passage's length (Robertson &
@@ -20,18 +20,17 @@ ordinal it keeps the passage's ``(url_index, text_index)``, and a ``DocRef``
 is made only for a passage that is returned. A term of no indexed query
 raises ``KeyError``.
 
-Per term the index also keeps its largest impact (``ceilings``), so
-``retrieve`` can stop early, as MaxScore does (Turtle & Flood 1995). It
-visits the query's terms rarest first and gathers the passages holding the
-terms visited so far. Once scoring these candidates costs no more than the
-postings still ahead, it scores them exactly and compares the k-th best with
-the sum of the unvisited terms' ceilings. Float addition is monotone and no
-impact is negative, so a passage holding none of the visited terms scores at
-most that sum. When the k-th score is strictly above it, no such passage can
-beat or tie a hit, and the candidates' top k is the answer, ties included;
-otherwise every posting is summed. Either way each score adds its impacts in
-query-term order from 0.0, the same floats in the same order as a direct
-evaluation of the formula.
+Per term the index also keeps its largest impact (``ceilings``). ``retrieve``
+visits the query's terms rarest first, gathering the passages that hold a
+visited term. Once scoring these candidates costs no more than the postings
+still ahead, and after the last term, it scores them exactly: from 0.0 in
+query-term order, each adds a visited term's impacts and an unvisited term's
+impact found by search, the same floats in the same order as the formula. As
+float addition is monotone and every impact positive, any other passage scores
+at most the unvisited terms' ceilings summed in query order. When the k-th
+score is strictly above that sum, or no term is left, the candidates' top k is
+the answer, ties included: early, as MaxScore stops (Turtle & Flood 1995), or
+with every passage holding a query term among the candidates.
 """
 
 import heapq
@@ -86,7 +85,11 @@ def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
                 b: float = 0.75) -> Bm25Index:
     """Index the terms of ``queries`` over every non-empty passage; empty
     ones stay out so they can never be retrieved, while their positional ids
-    remain stable."""
+    remain stable. ``k1 < 0`` or ``b`` outside [0, 1] raises ``ValueError``."""
+    if not k1 >= 0:  # NaN too
+        raise ValueError("k1 must be >= 0")
+    if not 0 <= b <= 1:
+        raise ValueError("b must be in [0, 1]")
     # flat lists aligned per term, not a tuple per posting: less memory
     postings: dict[str, list[int]] = {t: [] for q in queries for t in tokenize(q)}
     term_freqs: dict[str, list[int]] = {term: [] for term in postings}
@@ -123,53 +126,36 @@ def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
     """Top-k positive-score passages, score descending, ties by ascending
     (url_index, text_index)."""
-    if top_k <= 0 or not index.locations:
+    if top_k <= 0:
         return []
-    postings = index.postings
+    postings, impacts = index.postings, index.impacts
     terms = list(dict.fromkeys(tokenize(query)))
-    rarest = sorted(terms, key=lambda t: len(postings[t]))
     rest = sum(len(postings[t]) for t in terms)
+    visited: set[str] = set()
     candidates: set[int] = set()
-    for depth, term in enumerate(rarest[:-1], start=1):
+    for term in sorted(terms, key=lambda t: len(postings[t])):
+        visited.add(term)
         candidates.update(postings[term])
         rest -= len(postings[term])
-        # scoring the candidates exactly must cost no more than the postings it skips
-        if len(candidates) >= top_k and len(candidates) * len(terms) <= rest:
-            best = _decided_top(index, terms, set(rarest[depth:]), candidates, top_k)
-            if best is not None:
-                return _hits(index, best)
-
-    scores: dict[int, float] = {}
-    get = scores.get
-    for term in terms:
-        for ordinal, impact in zip(postings[term], index.impacts[term]):
-            scores[ordinal] = get(ordinal, 0.0) + impact
-    # ordinals follow (url_index, text_index) order, so they break ties alike
-    return _hits(index, heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items() if s > 0.0)))
-
-
-def _decided_top(index: Bm25Index, terms: list[str], unvisited: set[str],
-                 candidates: set[int], top_k: int) -> list[tuple[float, int]] | None:
-    """The top k of ``candidates``, scored exactly, if no passage outside them
-    can reach it, else None. Outside passages hold only ``unvisited`` terms,
-    so each scores at most those terms' ceilings summed in query order."""
-    scored = []
-    for ordinal in candidates:
-        score = 0.0
-        for term in terms:  # query order, so the same float as the accumulation
-            plist = index.postings[term]
-            i = bisect_left(plist, ordinal)
-            if i < len(plist) and plist[i] == ordinal:
-                score += index.impacts[term][i]
-        scored.append((-score, ordinal))
-    ceiling = 0.0
-    for term in terms:  # a loop: sum() rounds floats differently from Python 3.12
-        if term in unvisited:
-            ceiling += index.ceilings[term]
-    best = heapq.nsmallest(top_k, scored)
-    # strictly above: an outside passage can neither beat nor tie a hit
-    return best if -best[-1][0] > ceiling else None
-
-
-def _hits(index: Bm25Index, best: list[tuple[float, int]]) -> list[ScoredDoc]:
-    return [ScoredDoc(ref=DocRef(*index.locations[o]), score=-neg) for neg, o in best]
+        # before the last term, score only at no more cost than the postings it could skip
+        if rest and (len(candidates) < top_k or len(candidates) * len(terms) > rest):
+            continue
+        scores = dict.fromkeys(candidates, 0.0)
+        bound = 0.0
+        for t in terms:  # query order, so each score is the formula's float
+            plist = postings[t]
+            if t in visited:  # every passage holding it is a candidate
+                for ordinal, impact in zip(plist, impacts[t]):
+                    scores[ordinal] += impact
+            else:  # the bound summed here, as sum() rounds floats differently from Python 3.12
+                bound += index.ceilings[t]
+                for ordinal in candidates:
+                    i = bisect_left(plist, ordinal)
+                    if i < len(plist) and plist[i] == ordinal:
+                        scores[ordinal] += impacts[t][i]
+        # ordinals follow (url_index, text_index) order, so they break ties alike
+        best = heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items()))
+        # strictly above: a passage outside the candidates can neither beat nor tie a hit
+        if not rest or -best[-1][0] > bound:
+            return [ScoredDoc(ref=DocRef(*index.locations[o]), score=-neg) for neg, o in best]
+    return []

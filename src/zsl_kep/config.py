@@ -99,7 +99,7 @@ class RunConfig:
             )
         if self.truncate_claim < 1 or self.truncate_keypoint < 1:
             raise ConfigError("truncate_claim and truncate_keypoint must be >= 1")
-        if self.k1 < 0:
+        if not self.k1 >= 0:  # NaN too, which JSON allows
             raise ConfigError("k1 must be >= 0")
         if not 0 <= self.b <= 1:
             raise ConfigError("b must be in [0, 1]")

@@ -146,14 +146,14 @@ def read_json(path):
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def write_json(path, data, ensure_ascii: bool = True) -> None:
+def write_json(path, data) -> None:
     """Write ``data`` as indented JSON to a temp file beside ``path``, then
     rename it over ``path``: a write that fails partway leaves an earlier file
     whole and no temp file behind."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, ensure_ascii=ensure_ascii)
+            json.dump(data, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -226,11 +226,13 @@ def load_store(path, claim_id: int) -> KnowledgeStore:
                     raise MalformedInput(f"{path}: line {line_no} is not valid JSON") from exc
                 if not isinstance(row, dict) or "url" not in row or "url2text" not in row:
                     raise MalformedInput(f"{path}: line {line_no} needs 'url' and 'url2text'")
-                passages = row["url2text"]
+                url, passages = row["url"], row["url2text"]
+                if not isinstance(url, str):
+                    raise MalformedInput(f"{path}: line {line_no} 'url' must be a string")
                 if not isinstance(passages, list) or any(not isinstance(p, str) for p in passages):
                     raise MalformedInput(
                         f"{path}: line {line_no} 'url2text' must be a string array")
-                entries.append(UrlEntry(url=str(row["url"]), passages=list(passages)))
+                entries.append(UrlEntry(url=url, passages=list(passages)))
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
     return KnowledgeStore(claim_id=claim_id, entries=entries)
@@ -277,7 +279,7 @@ def write_predictions(path, reports: list[VerdictReport]) -> None:
                 for ev in rep.evidence
             ],
         })
-    write_json(path, rows, ensure_ascii=False)
+    write_json(path, rows)
 
 
 def _typed(row: dict, key: str, kind: type = str):

@@ -117,16 +117,20 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     cites: dict[int, str] = {}
     buckets = {"Q": questions, "A": answers, "TYPE": types, "CITE": cites}
     for m in _FIELD_RE.finditer(response):
-        buckets[m.group(1).upper()].setdefault(int(m.group(2)), m.group(3))
+        try:
+            number = int(m.group(2))
+        except ValueError:  # more digits than int() converts: no field
+            continue
+        buckets[m.group(1).upper()].setdefault(number, m.group(3))
 
     def resolve_citation(raw: str) -> "tuple[DocRef, str, str] | None":
         m = _CITE_ID_RE.search(raw)
         if m:
-            ref = DocRef(int(m.group(1)), int(m.group(2)))
             try:
+                ref = DocRef(int(m.group(1)), int(m.group(2)))
                 url, text = resolve(store, ref)
                 return ref, url, text
-            except UnknownDocRef:
+            except (ValueError, UnknownDocRef):  # ValueError: too many digits for int()
                 pass
         return None
 

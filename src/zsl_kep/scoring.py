@@ -81,8 +81,6 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     h_count, r_count = Counter(hyp), Counter(ref)
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
     m, n = sum(need.values()), len(hyp)
-    if m == 0:
-        return 0, 0
     shared, hyp_bigrams = Counter(zip(ref, ref[1:])), list(zip(hyp, hyp[1:]))
     linked = {t for pair in hyp_bigrams if pair in shared for t in pair}
     if not linked:

@@ -4,8 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import zsl_kep.bm25 as bm25
-from zsl_kep.bm25 import Bm25Index, ScoredDoc, build_index, retrieve, tokenize
+from zsl_kep.bm25 import Bm25Index, build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
 
 from helpers import make_store, naive_bm25_scores, reference_tokenize
@@ -260,12 +259,25 @@ def test_retrieve_equals_exact_oracle_prefix():
                 assert got == expected[:k]
 
 
-class _Unreadable(list):
-    """Impacts that may be indexed but not iterated: only the dict
-    accumulation, which a pruned query never reaches, walks a whole list."""
+class _CountedReads(list):
+    """Impacts that count the times they are read whole. retrieve reads a
+    term's impacts whole only once it has visited the term, and looks up an
+    unvisited term's one candidate at a time, so a query that stopped early
+    leaves some term's count at zero."""
+
+    reads = 0
 
     def __iter__(self):
-        raise AssertionError("a whole impact list was read")
+        self.reads += 1
+        return super().__iter__()
+
+
+def _retrieve_counting_reads(index, query, top_k):
+    """retrieve's (ref, score) pairs, and per query term the times its impact
+    list was read whole during the call."""
+    index.impacts = {term: _CountedReads(values) for term, values in index.impacts.items()}
+    hits = [(d.ref, d.score) for d in retrieve(index, query, top_k)]
+    return hits, {term: index.impacts[term].reads for term in tokenize(query)}
 
 
 def _oracle_ranking(kept, query):
@@ -274,21 +286,7 @@ def _oracle_ranking(kept, query):
                   key=lambda pair: (-pair[1], pair[0].url_index, pair[0].text_index))
 
 
-@pytest.fixture
-def checks(monkeypatch):
-    """Every pruning check retrieve runs, as True where it decided the top k."""
-    decided, seen = bm25._decided_top, []
-
-    def recording(*args):
-        best = decided(*args)
-        seen.append(best is not None)
-        return best
-
-    monkeypatch.setattr(bm25, "_decided_top", recording)
-    return seen
-
-
-def test_rare_terms_decide_without_reading_the_common_term(checks):
+def test_rare_terms_decide_without_reading_the_common_term():
     # "the" is in every passage; "mark" and "sign" in three and two of them
     passages = [f"the w{i} the" for i in range(40)]
     for i, extra in ((3, "mark"), (17, "mark sign"), (29, "mark"), (35, "sign")):
@@ -297,29 +295,34 @@ def test_rare_terms_decide_without_reading_the_common_term(checks):
     kept = [(DocRef(i // 20, i % 20), p) for i, p in enumerate(passages)]
     query = "the mark sign"
     index = build_index(store, [query])
-    index.impacts["the"] = _Unreadable(index.impacts["the"])
     expected = _oracle_ranking(kept, query)
     for k in range(1, 5):
-        assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
-    assert checks and all(checks)
+        hits, reads = _retrieve_counting_reads(index, query, k)
+        assert hits == expected[:k]
+        # the first check decided: no list read twice, the common one never
+        assert reads["the"] == 0 and max(reads.values()) == 1
     # five candidates hold a rare term: a top 6 needs the common term's whole list
-    with pytest.raises(AssertionError, match="whole impact list"):
-        retrieve(index, query, 6)
+    hits, reads = _retrieve_counting_reads(index, query, 6)
+    assert hits == expected[:6] and reads["the"] == 1
 
 
-def test_passage_outside_the_candidates_tying_the_kth_hit_wins_by_ordinal(checks):
+def test_passage_outside_the_candidates_tying_the_kth_hit_wins_by_ordinal():
     # by hand: passage 2 alone holds "x" and scores 1.0, the ceiling of "y",
     # which passage 0 reaches; the tie goes to the lower ordinal
     index = Bm25Index(locations=[(0, 0), (0, 1), (0, 2), (0, 3)],
                       postings={"x": [2], "y": [0, 1, 3]},
                       impacts={"x": [1.0], "y": [1.0, 0.5, 0.5]},
                       ceilings={"x": 1.0, "y": 1.0})
-    assert retrieve(index, "x y", 1) == [ScoredDoc(DocRef(0, 0), 1.0)]
-    assert retrieve(index, "x y", 2) == [ScoredDoc(DocRef(0, 0), 1.0), ScoredDoc(DocRef(0, 2), 1.0)]
-    assert checks == [False]
+    hits, reads = _retrieve_counting_reads(index, "x y", 1)
+    assert hits == [(DocRef(0, 0), 1.0)]
+    # "x" is read by the check the tie refused and again by the full evaluation
+    assert reads == {"x": 2, "y": 1}
+    hits, reads = _retrieve_counting_reads(index, "x y", 2)
+    assert hits == [(DocRef(0, 0), 1.0), (DocRef(0, 2), 1.0)]
+    assert reads == {"x": 1, "y": 1}  # one candidate for a top 2: no check
 
 
-def test_pruned_cut_inside_tie_groups_equals_oracle(checks):
+def test_pruned_cut_inside_tie_groups_equals_oracle():
     """Rare terms planted in exact duplicates, so the k-th hit ties with the
     next ones; every k from 0 to n matches the oracle to the last bit."""
     rng = random.Random(1995)
@@ -339,14 +342,14 @@ def test_pruned_cut_inside_tie_groups_equals_oracle(checks):
         index = build_index(make_store(passage_lists), [query])
         expected = _oracle_ranking(kept, query)
         for k in range(n + 1):
-            before = checks.count(True)
-            assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
-            if checks.count(True) > before and k < len(expected):
+            hits, reads = _retrieve_counting_reads(index, query, k)
+            assert hits == expected[:k]
+            if 0 < k < len(expected) and min(reads.values()) == 0:
                 ties_at_pruned_cut += expected[k - 1][1] == expected[k][1]
     assert ties_at_pruned_cut > 0
 
 
-def test_function_word_query_never_prunes(checks):
+def test_function_word_query_never_prunes():
     rng = random.Random(2006)
     # every passage holds every query term, so no term is rarer than another
     passage_lists = [[" ".join(rng.choices(_FUNCTION_WORDS, k=rng.randint(0, 12)) + ["the of a"])
@@ -357,5 +360,24 @@ def test_function_word_query_never_prunes(checks):
     index = build_index(make_store(passage_lists), [query])
     expected = _oracle_ranking(kept, query)
     for k in (1, 5, 15, 90):
-        assert [(d.ref, d.score) for d in retrieve(index, query, k)] == expected[:k]
-    assert checks == []
+        hits, reads = _retrieve_counting_reads(index, query, k)
+        assert hits == expected[:k]
+        # each list read once, by the full evaluation, with no check before it
+        assert reads == {"the": 1, "of": 1, "a": 1}
+
+
+@pytest.mark.parametrize("k1, b", [(-0.9, 1.0), (-1e-9, 0.75), (float("nan"), 0.75),
+                                   (1.2, -0.1), (1.2, 1.5), (1.2, float("nan"))])
+def test_build_index_rejects_parameters_that_make_an_impact_non_positive(k1, b):
+    with pytest.raises(ValueError, match="k1 must be >= 0|b must be in"):
+        build_index(make_store([["r x", "y"]]), ["r x y"], k1=k1, b=b)
+
+
+def test_build_index_accepts_the_parameter_edges():
+    passages = ["r x", "x y y", "y", "r r x y"]
+    for k1, b in ((0.0, 0.75), (1.2, 0.0), (1.2, 1.0), (0.0, 0.0)):
+        index = build_index(make_store([passages]), ["r x y"], k1=k1, b=b)
+        oracle = naive_bm25_scores(passages, "r x y", k1=k1, b=b)
+        got = retrieve(index, "r x y", 4)
+        assert all(value > 0.0 for values in index.impacts.values() for value in values)
+        assert [d.score for d in got] == pytest.approx(sorted(oracle, reverse=True), abs=1e-12)

@@ -440,6 +440,54 @@ def test_run_non_string_prediction_reply_fails_only_its_claim(tmp_path, capsys):
     assert "malformed: reply text is int, not a string" in pred[1]["justification"]
 
 
+def test_run_over_long_citation_id_costs_only_its_own_field(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    script_path = fixture / "mock_script.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    assert "CITE1: 0_1\n" in script["1"][-1]
+    # more digits than int() converts
+    script["1"][-1] = script["1"][-1].replace("CITE1: 0_1\n", f"CITE1: {'9' * 4301}_1\n")
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "parse fallbacks: 2" in err and "failed claims: 0" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [pred[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+    assert pred[1]["pred_label"] == expected[1]["pred_label"]
+    assert pred[1]["evidence"][1] == expected[1]["evidence"][1]
+    first, was = pred[1]["evidence"][0], expected[1]["evidence"][0]
+    assert (first["question"], first["answer"]) == (was["question"], was["answer"])
+    # the citation alone fell back, to the top claim-group document
+    assert (was["citation_id"], first["citation_id"]) == ("0_1", "3_2")
+
+
+def test_run_null_url_store_fails_only_its_claim(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    (fixture / "stores" / "2.json").write_text(
+        json.dumps({"url": None, "url2text": ["ridge"]}) + "\n", encoding="utf-8")
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "claims processed: 4" in err and "failed claims: 1" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
+    assert pred[2]["pred_label"] == "Not Enough Evidence"
+    assert "2.json: line 1 'url' must be a string" in pred[2]["justification"]
+
+
 def test_run_non_utf8_store_fails_only_its_claim(tmp_path, capsys):
     good = tmp_path / "good.json"
     assert main(["run", "--config", E2E_CONFIG, "--output", str(good)]) == 0

@@ -133,6 +133,15 @@ def test_load_store_missing_field_names_line(tmp_path):
         load_store(path, 0)
 
 
+@pytest.mark.parametrize("url", [None, 5, ["u"]])
+def test_load_store_non_string_url_names_line(tmp_path, url):
+    path = tmp_path / "0.json"
+    path.write_text('{"url": "u0", "url2text": ["a"]}\n'
+                    + json.dumps({"url": url, "url2text": ["b"]}) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match="line 2 'url' must be a string"):
+        load_store(path, 0)
+
+
 def test_load_store_invalid_json_names_line(tmp_path):
     path = tmp_path / "0.json"
     path.write_text('{"url": "u0", "url2text": ["a"]}\n{"url": "u1", \n', encoding="utf-8")

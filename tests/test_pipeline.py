@@ -183,6 +183,21 @@ def test_parse_prediction_bad_citation_recites_top_claim_doc():
     assert fallbacks == 1
 
 
+def test_parse_prediction_over_long_numbers_degrade_their_own_fields():
+    # int() refuses more than 4,300 digits: such a field number is no field,
+    # and such a citation falls back to the top claim-group document
+    store = make_store([["top passage", "other"]])
+    groups = _groups_for(store, [(DocRef(0, 0), "top passage")])
+    nines = "9" * 4301
+    response = (f"Q1: q\nA1: a\nTYPE1: Extractive\nCITE1: {nines}_1\n"
+                f"Q{nines}: lost\nA2: a2\nQ2: q2\nTYPE2: Boolean\nCITE2: 0_1\nVERDICT: Supported")
+    evidence, _, verdict, fallbacks = parse_prediction(response, store, groups)
+    assert [(ev.question, ev.citation) for ev in evidence] == [("q", DocRef(0, 0)),
+                                                                ("q2", DocRef(0, 1))]
+    assert verdict is VerdictLabel.SUPPORTED
+    assert fallbacks == 1
+
+
 def test_parse_prediction_bad_type_defaults_abstractive():
     store = make_store([["a"]])
     groups = _groups_for(store, [(DocRef(0, 0), "a")])
