@@ -6,6 +6,7 @@ standard operating point: top_k 70/12, truncation 55/9, temperature 0,
 top_p 0.8, 512/1024 new tokens.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -101,10 +102,14 @@ class RunConfig:
             raise ConfigError("truncate_claim and truncate_keypoint must be >= 1")
         if not self.k1 >= 0:  # NaN too, which JSON allows
             raise ConfigError("k1 must be >= 0")
+        if not math.isfinite(self.k1):  # and Infinity
+            raise ConfigError("k1 must be finite")
         if not 0 <= self.b <= 1:
             raise ConfigError("b must be in [0, 1]")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
+        if not math.isfinite(self.temperature):
+            raise ConfigError("temperature must be finite")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.max_tokens_keypoints <= 0 or self.max_tokens_prediction <= 0:

@@ -8,6 +8,7 @@ two failure kinds must stay distinguishable for that to work.
 """
 
 import json
+import math
 import os
 import threading
 import time
@@ -74,6 +75,8 @@ class ChatRequest:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature):  # json.dumps would write NaN, not JSON
+            raise ValueError("temperature must be finite")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
         if self.max_new_tokens <= 0:

@@ -16,6 +16,18 @@ Predicted evidence strings are matched to gold ones with a max-sum assignment
 cap at 4), and the matched similarity mass is normalized by the number of gold
 strings. A claim counts toward the conditioned score only when its label is
 right AND its question+answer evidence score reaches the 0.25 gate.
+
+A matrix pairs every predicted string with every gold variant, so a string
+meets several others; what METEOR needs of one string alone is computed once
+per ``evidence_score`` matrix and shared by its cells. Two caches keyed by
+(text, stemming) hold it, both cleared when a matrix starts, so nothing
+carries over from one matrix or call to the next. The first holds a string's
+tokens and their set: every pair needs them, and the sets tell a pair that
+shares no token, as most do where the evidence differs, without counting.
+The second holds the token counts, bigrams, bigram counts and ``later`` that
+the alignment search reads. It is built only for a string in a pair that
+shares a token: built for every string, it cost more than it saved where
+nearly every pair is disjoint.
 """
 
 import functools
@@ -34,6 +46,10 @@ BETA = 3.0
 # alignment; past them the best alignment found so far is kept
 _ALIGN_NODE_BUDGET = 200_000
 
+# strings whose METEOR work one evidence_score matrix keeps (it clears them on
+# entry); a matrix with more distinct strings only recomputes the evicted ones
+_PROFILE_CACHE_SIZE = 1024
+
 
 def _stem(token: str) -> str:
     """Naive suffix stripping; intentionally much weaker than a real stemmer."""
@@ -48,12 +64,30 @@ def _stem(token: str) -> str:
     return token
 
 
-def _terms(text: str, stemming: bool) -> list[str]:
+@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _terms(text: str, stemming: bool) -> tuple[list[str], set[str]]:
+    """A string's tokens and their set, the set for the disjoint test."""
     tokens = tokenize(text)
-    return [_stem(t) for t in tokens] if stemming else tokens
+    if stemming:
+        tokens = [_stem(t) for t in tokens]
+    return tokens, set(tokens)
 
 
-def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
+@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _profile(text: str, stemming: bool) -> tuple:
+    """What the alignment search needs of a string that shares a token with another:
+    (tokens, token counts, bigrams, bigram counts, later), where later[i] counts the
+    occurrences of tokens[i] in tokens[i+1:]."""
+    tokens = _terms(text, stemming)[0]
+    bigrams = list(zip(tokens, tokens[1:]))
+    later, seen = [0] * len(tokens), {}
+    for i in range(len(tokens) - 1, -1, -1):
+        later[i] = seen.get(tokens[i], 0)
+        seen[tokens[i]] = later[i] + 1
+    return tokens, Counter(tokens), bigrams, Counter(bigrams), later
+
+
+def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     """(matches, chunks) of a maximum alignment with minimal chunk count.
 
     Depth-first branch and bound over hypothesis positions: each is matched to a free
@@ -75,30 +109,37 @@ def _alignment(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     unless it follows a match through one of the reach[i] shared bigrams at positions i-1
     onward, so a state whose chunks plus the excess of its remaining matches over reach[i]
     cannot beat the best complete alignment is cut.
+
+    The arguments are the strings' ``_profile`` entries, the second cache level: counts,
+    bigrams and ``later`` depend on one string only, so each string's are built once per
+    matrix however many cells it is in. ``meteor`` tests the pair for a shared token on
+    the first level (``_terms``) before asking for them, so a disjoint pair builds none.
+    Only what depends on both strings is built here: ``need``, the linked types, the link
+    count, ``ref_positions`` and ``reach``.
     """
-    if set(hyp).isdisjoint(ref):  # most pairs share no token: skip the counting
-        return 0, 0
-    h_count, r_count = Counter(hyp), Counter(ref)
+    hyp, h_count, bigrams, h_bigram_count, later = hyp_profile
+    ref, r_count, _, shared, _ = ref_profile
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
     m, n = sum(need.values()), len(hyp)
-    shared, hyp_bigrams = Counter(zip(ref, ref[1:])), list(zip(hyp, hyp[1:]))
-    linked = {t for pair in hyp_bigrams if pair in shared for t in pair}
+    links, linked = 0, set()
+    for pair, count in h_bigram_count.items():
+        if pair in shared:
+            links += min(count, shared[pair])
+            linked.update(pair)
     if not linked:
         return m, m
     need = {t: need[t] for t in linked}  # the other types' positions only break runs
     lone = m - sum(need.values())
     m -= lone  # from here on, the matches the search places
-    floor = m - min(m - 1, sum((Counter(hyp_bigrams) & shared).values()))
+    floor = m - min(m - 1, links)
     ref_positions: dict[str, list[int]] = {}
     for pos, tok in enumerate(ref):
         if tok in need:
             ref_positions.setdefault(tok, []).append(pos)
-    later, seen = [0] * n, {}  # later[i]: occurrences of hyp[i] in hyp[i+1:]
     reach = [0] * (n + 1)  # reach[i]: shared hypothesis bigrams starting at i-1 or later
-    for i in range(n - 1, -1, -1):
-        later[i] = seen.get(hyp[i], 0)
-        seen[hyp[i]] = later[i] + 1
-        reach[i] = reach[i + 1] + (i > 0 and (hyp[i - 1], hyp[i]) in shared)
+    for i in range(n - 1, 0, -1):
+        reach[i] = reach[i + 1] + (bigrams[i - 1] in shared)
+    reach[0] = reach[1]  # no bigram ends at position 0
 
     best, nodes = m + 1, 0
     # frames (i, remaining, used, prev, chunks, todo): a state at position i and its untried
@@ -150,15 +191,13 @@ def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) ->
     if not references:
         raise ValueError("meteor needs at least one reference")
 
-    hyp = _terms(hypothesis, stemming)
+    hyp, hyp_types = _terms(hypothesis, stemming)
     best = 0.0
     for reference in references:
-        ref = _terms(reference, stemming)
-        if not hyp or not ref:
+        ref, ref_types = _terms(reference, stemming)
+        if hyp_types.isdisjoint(ref_types):  # most pairs share no token (empty sides too)
             continue
-        m, chunks = _alignment(hyp, ref)
-        if m == 0:
-            continue
+        m, chunks = _alignment(_profile(hypothesis, stemming), _profile(reference, stemming))
         precision = m / len(hyp)
         recall = m / len(ref)
         fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -234,6 +273,8 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
     0. No gold entries, or more than MAX_EVIDENCE predicted strings (which
     bounds the assignment cost), raise ValueError.
     """
+    _terms.cache_clear()  # no string's work outlives its matrix
+    _profile.cache_clear()
     if not gold_strings:
         raise ValueError("evidence_score needs at least one gold string")
     if len(pred_strings) > MAX_EVIDENCE:

@@ -366,10 +366,12 @@ def test_function_word_query_never_prunes():
         assert reads == {"the": 1, "of": 1, "a": 1}
 
 
+# an infinite k1 makes every impact and ceiling NaN, and the hits unordered
 @pytest.mark.parametrize("k1, b", [(-0.9, 1.0), (-1e-9, 0.75), (float("nan"), 0.75),
-                                   (1.2, -0.1), (1.2, 1.5), (1.2, float("nan"))])
+                                   (1.2, -0.1), (1.2, 1.5), (1.2, float("nan")),
+                                   (float("inf"), 0.75)])
 def test_build_index_rejects_parameters_that_make_an_impact_non_positive(k1, b):
-    with pytest.raises(ValueError, match="k1 must be >= 0|b must be in"):
+    with pytest.raises(ValueError, match="k1 must be >= 0|k1 must be finite|b must be in"):
         build_index(make_store([["r x", "y"]]), ["r x y"], k1=k1, b=b)
 
 

@@ -60,6 +60,9 @@ _VALID = {"claims_path": "claims.json", "store_dir": "stores", "backend": "mock"
     ({"max_attempts": 0}, "max_attempts must be >= 1"),
     ({"prompt_overrides": {"verdict_user": "v.txt"}}, "unknown prompt override 'verdict_user'"),
     ({"k1": float("nan")}, "k1 must be >= 0"),  # JSON's NaN
+    ({"k1": float("inf")}, "k1 must be finite"),  # JSON's Infinity
+    ({"temperature": float("nan")}, "temperature must be finite"),
+    ({"temperature": float("inf")}, "temperature must be finite"),
 ])
 def test_validate_rejects_out_of_range_settings(tmp_path, changes, message):
     cfg = _load(tmp_path, {**_VALID, **changes})

@@ -21,6 +21,9 @@ def _req(user="hello", system="sys", max_new_tokens=512):
 def test_chat_request_validation():
     with pytest.raises(ValueError):
         ChatRequest("s", "u", temperature=-0.1)
+    for temperature in (float("nan"), float("inf")):  # json.dumps would write NaN / Infinity
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            ChatRequest("s", "u", temperature=temperature)
     with pytest.raises(ValueError):
         ChatRequest("s", "u", top_p=0.0)
     with pytest.raises(ValueError):

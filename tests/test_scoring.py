@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -15,6 +16,12 @@ from helpers import brute_force_assignment, chunk_floor, independent_meteor
 IDENTITY_6 = 1.0 - 0.5 / 216.0  # six-token self match, one chunk
 
 
+def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
+    """``_alignment`` of two token lists, through the strings' profiles."""
+    return scoring._alignment(scoring._profile(" ".join(hyp), False),
+                              scoring._profile(" ".join(ref), False))
+
+
 # ---------------------------------------------------------------- meteor
 
 def test_meteor_disjoint_is_zero():
@@ -22,7 +29,7 @@ def test_meteor_disjoint_is_zero():
 
 
 def test_alignment_disjoint_pair_has_no_matches():
-    assert scoring._alignment(["aa", "bb"], ["cc"]) == (0, 0)
+    assert _align(["aa", "bb"], ["cc"]) == (0, 0)
 
 
 def test_meteor_identity_six_tokens():
@@ -86,6 +93,22 @@ def test_meteor_stemming_flag():
     assert meteor("cats purr", ["cat purr"]) < meteor("cats purr", ["cat purr"], stemming=True)
 
 
+def _cleared_meteor(hyp, refs, stemming):
+    scoring._terms.cache_clear()
+    scoring._profile.cache_clear()
+    return meteor(hyp, refs, stemming=stemming)
+
+
+def test_meteor_caches_stemmed_and_plain_profiles_apart():
+    hyp, ref = "the cats jumped over cats", "the cat jumped over the cat"
+    expected = [_cleared_meteor(hyp, [ref], stemming) for stemming in (True, False)]
+    assert expected[0] > expected[1]
+    scoring._terms.cache_clear()
+    scoring._profile.cache_clear()
+    assert [meteor(hyp, [ref], stemming=True), meteor(hyp, [ref])] == expected
+    assert [meteor(hyp, [ref]), meteor(hyp, [ref], stemming=True)] == expected[::-1]
+
+
 def _small_pairs(min_size):
     """Pairs of at most 8 tokens from 2-4 words."""
     return st.integers(2, 4).flatmap(lambda k: st.tuples(
@@ -116,7 +139,7 @@ def test_meteor_equals_oracle_on_mixed_pairs(hyp_tokens, ref_tokens):
 
 def test_alignment_without_shared_bigram_is_all_single_tokens():
     hyp, ref = "b a d c a x".split(), "a b c d a".split()
-    assert scoring._alignment(hyp, ref) == (5, 5)
+    assert _align(hyp, ref) == (5, 5)
     assert meteor(" ".join(hyp), [" ".join(ref)]) == pytest.approx(
         independent_meteor(" ".join(hyp), [" ".join(ref)]), abs=1e-12)
 
@@ -128,7 +151,7 @@ def test_alignment_exact_where_the_full_search_hits_the_budget():
            "w17 w17 is the the a the of w28 what w14 on on a in of w2 in").split()
     ref = ("to w25 w18 w3 in and what is and what w4 w3 and for w3 w26 w32 to on on w18 the "
            "a to is and on").split()
-    assert scoring._alignment(hyp, ref) == (16, 14)
+    assert _align(hyp, ref) == (16, 14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,7 +159,7 @@ def test_alignment_exact_where_the_full_search_hits_the_budget():
 def test_meteor_equals_oracle_where_the_chunk_floor_is_not_tight(pair):
     # no early return here: the search ends only when the per-state bound has
     # cut or finished every branch
-    assume(chunk_floor(*pair) < scoring._alignment(*pair)[1])
+    assume(chunk_floor(*pair) < _align(*pair)[1])
     hyp, ref = " ".join(pair[0]), " ".join(pair[1])
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
 
@@ -145,11 +168,11 @@ def test_chunk_floor_by_hand():
     # links: (a, b) twice and (b, c) once on both sides: 5 matches, at least 2 chunks
     hyp, ref = "a b c a b".split(), "a b a b c".split()
     assert chunk_floor(hyp, ref) == 2
-    assert scoring._alignment(hyp, ref) == (5, 2)
+    assert _align(hyp, ref) == (5, 2)
     # (a, b) once and (b, a) once: the floor says 2, but no alignment has fewer than 3
     hyp, ref = "a b a b".split(), "a b b a".split()
     assert chunk_floor(hyp, ref) == 2
-    assert scoring._alignment(hyp, ref) == (4, 3)
+    assert _align(hyp, ref) == (4, 3)
     assert chunk_floor("a b c".split(), "c b a".split()) == 3  # no shared bigram
 
 
@@ -356,6 +379,47 @@ def test_evidence_score_prediction_order_invariant():
         evidence_score(list(reversed(preds)), golds), abs=1e-12)
 
 
+_ABC_STRINGS = st.lists(st.sampled_from("abc"), min_size=1, max_size=6).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ABC_STRINGS, min_size=1, max_size=3), st.data())
+def test_evidence_score_with_repeated_strings_equals_oracle(pool, data):
+    # the matrix shares one profile per distinct string among its cells
+    pick = st.sampled_from(pool)
+    preds = data.draw(st.lists(pick, min_size=1, max_size=MAX_EVIDENCE - 1))
+    preds.insert(data.draw(st.integers(0, len(preds))), preds[0])  # one prediction twice
+    golds = data.draw(st.lists(st.lists(pick, min_size=1, max_size=2), min_size=1, max_size=3))
+    gold = data.draw(st.sampled_from(golds))  # gains a variant equal to a prediction
+    gold.insert(data.draw(st.integers(0, len(gold))), data.draw(st.sampled_from(preds)))
+    oracle = [[independent_meteor(p, variants) for variants in golds] for p in preds]
+    best, _ = brute_force_assignment(oracle)
+    assert evidence_score(preds, golds) == pytest.approx(best / len(golds), abs=1e-9)
+
+
+@pytest.fixture
+def profiling(monkeypatch):
+    """The texts the two cached levels compute: (tokenized, profiled)."""
+    tokenized, profiled = [], []
+    tokenize, profile = scoring.tokenize, scoring._profile.__wrapped__
+
+    def counting_profile(text, stemming):
+        profiled.append(text)
+        return profile(text, stemming)
+
+    monkeypatch.setattr(scoring, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    monkeypatch.setattr(scoring, "_profile", functools.lru_cache(counting_profile))
+    return tokenized, profiled
+
+
+def test_evidence_score_profiles_each_string_once(profiling):
+    tokenized, profiled = profiling
+    evidence_score(["a b", "c d", "a b"], ["a b c", ["x y", "c d"], "a b"])
+    assert sorted(tokenized) == ["a b", "a b c", "c d", "x y"]
+    # "x y" shares no token with a prediction: its tokens are all it needs
+    assert sorted(profiled) == ["a b", "a b c", "c d"]
+
+
 # ---------------------------------------------------------------- score_run
 
 def _gold(claim_id, label, questions):
@@ -444,3 +508,22 @@ def test_score_report_serialization():
     assert payload["params"]["threshold"] == 0.25
     assert len(payload["per_claim"]) == 1
     assert set(payload["aggregate"]) == {"q_only", "q_plus_a", "averitec"}
+
+
+def test_score_run_computes_the_same_profiles_on_every_call(profiling):
+    # a cache that outlived its matrix would hit on the second call
+    tokenized, profiled = profiling
+    gold = [_gold(0, VerdictLabel.SUPPORTED,
+                  [("did the event happen in the town", ["yes it happened", "no"]),
+                   ("who saw it", ["the mayor saw it"])])]
+    reports = [_report(0, VerdictLabel.SUPPORTED,
+                       [("did the event happen", "yes it happened in the town"),
+                        ("who saw the event", "the mayor")])]
+    counts = []
+    for _ in range(2):
+        score_run(reports, gold)
+        counts.append((len(tokenized), len(profiled)))
+        tokenized.clear()
+        profiled.clear()
+    assert counts[0] == counts[1]
+    assert counts[0][1] > 0
