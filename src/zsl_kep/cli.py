@@ -1,8 +1,7 @@
 """Command-line entry point.
 
     zsl-kep run     --config cfg.json [--output path] [--print-config]
-    zsl-kep score   --pred predictions.json --gold claims.json [--stemming]
-                    [--report path]
+    zsl-kep score   --pred predictions.json --gold claims.json [--report path]
     zsl-kep inspect --config cfg.json --claim ID [--no-llm]
 
 Summary statistics go to stderr and data goes to files; stdout is reserved
@@ -43,6 +42,12 @@ def _writable(path: str) -> bool:
     return os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)
 
 
+def _names_an_input(path: str, inputs) -> bool:
+    """Whether ``path`` resolves to the same file as one of ``inputs``."""
+    target = os.path.realpath(path)
+    return any(name and os.path.realpath(name) == target for name in inputs)
+
+
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.output:
@@ -54,13 +59,18 @@ def cmd_run(args) -> int:
         return 0
 
     claims = load_claims(cfg.claims_path)
-    for record in claims:
-        store_path = store_path_for(cfg.store_dir, record.claim_id)
+    store_paths = [store_path_for(cfg.store_dir, record.claim_id) for record in claims]
+    for store_path in store_paths:
         if not os.path.exists(store_path):
             _log(f"error: missing knowledge store {store_path}")
             return 1
     if not _writable(cfg.output_path):
         _log(f"error: cannot write predictions to {cfg.output_path}")
+        return 1
+    inputs = [args.config, cfg.claims_path, cfg.mock_script_path,
+              *cfg.prompt_overrides.values(), *store_paths]
+    if _names_an_input(cfg.output_path, inputs):
+        _log(f"error: output {cfg.output_path} is one of the run's inputs")
         return 1
 
     gateway = _build_gateway(cfg)
@@ -89,12 +99,15 @@ def cmd_run(args) -> int:
 
 def cmd_score(args) -> int:
     report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
+    if _names_an_input(report_path, [args.pred, args.gold]):
+        _log(f"error: score report {report_path} is one of the inputs")
+        return 1
     gold = load_claims(args.gold)
     reports = load_predictions(args.pred)
     if not _writable(report_path):
         _log(f"error: cannot write score report to {report_path}")
         return 1
-    result = score_run(reports, gold, stemming=args.stemming)
+    result = score_run(reports, gold)
 
     _log(f"q_only={result.aggregate['q_only']:.4f}")
     _log(f"q_plus_a={result.aggregate['q_plus_a']:.4f}")
@@ -173,7 +186,6 @@ def _make_parser() -> argparse.ArgumentParser:
     score_p = sub.add_parser("score", help="score predictions against gold claims")
     score_p.add_argument("--pred", required=True)
     score_p.add_argument("--gold", required=True)
-    score_p.add_argument("--stemming", action="store_true")
     score_p.add_argument("--report", help="score report path (default: <pred>.scores.json)")
     score_p.set_defaults(func=cmd_score)
 

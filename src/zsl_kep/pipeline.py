@@ -27,9 +27,14 @@ GROUP_SEPARATOR = "\n\n-----\n\n"
 FALLBACK_QUESTION = "What does the retrieved evidence say about the claim?"
 FALLBACK_ANSWER_CHARS = 200
 
-_FIELD_RE = re.compile(r"^\s*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*?)\s*$", re.IGNORECASE | re.MULTILINE)
-_JUSTIFICATION_RE = re.compile(r"^\s*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE)
-_VERDICT_RE = re.compile(r"^\s*VERDICT\s*:\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
+# A label may follow blanks on its own line only, and each value runs to its line's end
+# and is stripped in Python, so no attempt rescans later lines or a value's blanks: the
+# parse is linear in the reply. An empty value takes the next nonblank line; a VERDICT
+# label followed by nothing but newlines is no verdict line.
+_FIELD_RE = re.compile(r"^[^\S\n]*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*)$", re.IGNORECASE | re.MULTILINE)
+_JUSTIFICATION_RE = re.compile(r"^[^\S\n]*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE)
+_VERDICT_HEADER_RE = re.compile(r"^[^\S\n]*VERDICT\s*:", re.IGNORECASE | re.MULTILINE)
+_VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT\s*:(?!\n*\Z)\s*(.*)$", re.IGNORECASE | re.MULTILINE)
 _CITE_ID_RE = re.compile(r"(\d+)_(\d+)")
 
 
@@ -121,7 +126,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
             number = int(m.group(2))
         except ValueError:  # more digits than int() converts: no field
             continue
-        buckets[m.group(1).upper()].setdefault(number, m.group(3))
+        buckets[m.group(1).upper()].setdefault(number, m.group(3).strip())
 
     def resolve_citation(raw: str) -> "tuple[DocRef, str, str] | None":
         m = _CITE_ID_RE.search(raw)
@@ -173,7 +178,7 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     if just_headers:
         start = just_headers[-1].end()
         tail = response[start:]
-        verdict_in_tail = re.search(r"^\s*VERDICT\s*:", tail, re.IGNORECASE | re.MULTILINE)
+        verdict_in_tail = _VERDICT_HEADER_RE.search(tail)
         justification = (tail[: verdict_in_tail.start()] if verdict_in_tail else tail).strip()
 
     verdict = None

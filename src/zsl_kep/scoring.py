@@ -8,8 +8,7 @@ chunks (maximal runs matching contiguously on both sides), then
     penalty = GAMMA*(ch/m)**BETA, score = F*(1-penalty)
 
 with the fixed constants GAMMA=0.5 and BETA=3. Stemming and synonym stages
-are deliberately out; a trivial suffix-stripper can be switched on instead
-(``stemming=True``), off by default because it changes scores.
+are deliberately out.
 
 Predicted evidence strings are matched to gold ones with a max-sum assignment
 (exact subset search, exponential only in the smaller side, which predictions
@@ -20,10 +19,10 @@ right AND its question+answer evidence score reaches the 0.25 gate.
 A matrix pairs every predicted string with every gold variant, so a string
 meets several others; what METEOR needs of one string alone is computed once
 per ``evidence_score`` matrix and shared by its cells. Two caches keyed by
-(text, stemming) hold it, both cleared when a matrix starts, so nothing
-carries over from one matrix or call to the next. The first holds a string's
-tokens and their set: every pair needs them, and the sets tell a pair that
-shares no token, as most do where the evidence differs, without counting.
+its text hold it, both cleared when a matrix starts, so nothing carries over
+from one matrix or call to the next. The first holds a string's tokens and
+their set: every pair needs them, and the sets tell a pair that shares no
+token, as most do where the evidence differs, without counting.
 The second holds the token counts, bigrams, bigram counts and ``later`` that
 the alignment search reads. It is built only for a string in a pair that
 shares a token: built for every string, it cost more than it saved where
@@ -51,34 +50,19 @@ _ALIGN_NODE_BUDGET = 200_000
 _PROFILE_CACHE_SIZE = 1024
 
 
-def _stem(token: str) -> str:
-    """Naive suffix stripping; intentionally much weaker than a real stemmer."""
-    if len(token) >= 6 and token.endswith("ing"):
-        return token[:-3]
-    if len(token) >= 5 and token.endswith("ed"):
-        return token[:-2]
-    if len(token) >= 5 and token.endswith("es"):
-        return token[:-2]
-    if len(token) >= 4 and token.endswith("s") and not token.endswith("ss"):
-        return token[:-1]
-    return token
-
-
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _terms(text: str, stemming: bool) -> tuple[list[str], set[str]]:
+def _terms(text: str) -> tuple[list[str], set[str]]:
     """A string's tokens and their set, the set for the disjoint test."""
     tokens = tokenize(text)
-    if stemming:
-        tokens = [_stem(t) for t in tokens]
     return tokens, set(tokens)
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile(text: str, stemming: bool) -> tuple:
+def _profile(text: str) -> tuple:
     """What the alignment search needs of a string that shares a token with another:
     (tokens, token counts, bigrams, bigram counts, later), where later[i] counts the
     occurrences of tokens[i] in tokens[i+1:]."""
-    tokens = _terms(text, stemming)[0]
+    tokens = _terms(text)[0]
     bigrams = list(zip(tokens, tokens[1:]))
     later, seen = [0] * len(tokens), {}
     for i in range(len(tokens) - 1, -1, -1):
@@ -186,18 +170,18 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     return m + lone, best + lone
 
 
-def meteor(hypothesis: str, references: list[str], *, stemming: bool = False) -> float:
+def meteor(hypothesis: str, references: list[str]) -> float:
     """Similarity in [0, 1]; with several references the best one counts."""
     if not references:
         raise ValueError("meteor needs at least one reference")
 
-    hyp, hyp_types = _terms(hypothesis, stemming)
+    hyp, hyp_types = _terms(hypothesis)
     best = 0.0
     for reference in references:
-        ref, ref_types = _terms(reference, stemming)
+        ref, ref_types = _terms(reference)
         if hyp_types.isdisjoint(ref_types):  # most pairs share no token (empty sides too)
             continue
-        m, chunks = _alignment(_profile(hypothesis, stemming), _profile(reference, stemming))
+        m, chunks = _alignment(_profile(hypothesis), _profile(reference))
         precision = m / len(hyp)
         recall = m / len(ref)
         fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -264,7 +248,7 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
     return chosen
 
 
-def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = False) -> float:
+def evidence_score(pred_strings: list[str], gold_strings) -> float:
     """Assignment-matched METEOR mass over gold evidence.
 
     Each gold entry may be one string or a list of acceptable variants (any
@@ -282,8 +266,7 @@ def evidence_score(pred_strings: list[str], gold_strings, *, stemming: bool = Fa
     gold_variants = [[g] if isinstance(g, str) else list(g) for g in gold_strings]
     if not pred_strings:
         return 0.0
-    matrix = [[meteor(pred, variants, stemming=stemming) for variants in gold_variants]
-              for pred in pred_strings]
+    matrix = [[meteor(pred, variants) for variants in gold_variants] for pred in pred_strings]
     total = math.fsum(matrix[i][j] for i, j in hungarian_max(matrix))
     return total / len(gold_variants)
 
@@ -302,7 +285,6 @@ class ClaimScore:
 class ScoreReport:
     per_claim: list[ClaimScore]
     aggregate: dict[str, float]
-    stemming: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -310,7 +292,7 @@ class ScoreReport:
                 "fmean": "10PR/(R+9P)",
                 "gamma": GAMMA,
                 "beta": BETA,
-                "stemming": self.stemming,
+                "stemming": False,
                 "threshold": GATE_THRESHOLD,
                 "normalization": "gold_count",
             },
@@ -319,8 +301,7 @@ class ScoreReport:
         }
 
 
-def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
-              *, stemming: bool = False) -> ScoreReport:
+def score_run(reports: list[VerdictReport], gold: list[ClaimRecord]) -> ScoreReport:
     """Score predicted reports against gold records.
 
     q_only matches question strings, q_plus_a matches "question answer"
@@ -345,11 +326,11 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
         if record.gold_evidence:
             pred_q = [ev.question for ev in report.evidence]
             gold_q = [[g.question] for g in record.gold_evidence]
-            q_only = evidence_score(pred_q, gold_q, stemming=stemming)
+            q_only = evidence_score(pred_q, gold_q)
 
             pred_qa = [f"{ev.question} {ev.answer}" for ev in report.evidence]
             gold_qa = [[f"{g.question} {a}" for a in g.answers] for g in record.gold_evidence]
-            q_plus_a = evidence_score(pred_qa, gold_qa, stemming=stemming)
+            q_plus_a = evidence_score(pred_qa, gold_qa)
 
             gated = label_correct and q_plus_a >= GATE_THRESHOLD
             empty_gold = False
@@ -368,4 +349,4 @@ def score_run(reports: list[VerdictReport], gold: list[ClaimRecord],
         "q_plus_a": math.fsum(c.q_plus_a for c in per_claim) / count if count else 0.0,
         "averitec": sum(1.0 for c in per_claim if c.gated_correct) / count if count else 0.0,
     }
-    return ScoreReport(per_claim=per_claim, aggregate=aggregate, stemming=stemming)
+    return ScoreReport(per_claim=per_claim, aggregate=aggregate)

@@ -7,6 +7,7 @@ against a second, structurally different implementation.
 
 import itertools
 import math
+import re
 from collections import Counter
 
 from zsl_kep.bm25 import tokenize
@@ -34,6 +35,19 @@ def reference_tokenize(text):
     if run:
         tokens.append("".join(run))
     return tokens
+
+
+# The reply patterns of ``zsl_kep.pipeline`` as first written: each ``^\s*`` may run
+# over later lines and each lazy value rescans its blanks, so they cost the square of
+# the reply's length, but what they match is the grammar. ``parse_prediction`` with
+# them swapped in for its own gives the oracle parse.
+ORACLE_REPLY_PATTERNS = {
+    "_FIELD_RE": re.compile(r"^\s*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*?)\s*$",
+                            re.IGNORECASE | re.MULTILINE),
+    "_JUSTIFICATION_RE": re.compile(r"^\s*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE),
+    "_VERDICT_HEADER_RE": re.compile(r"^\s*VERDICT\s*:", re.IGNORECASE | re.MULTILINE),
+    "_VERDICT_RE": re.compile(r"^\s*VERDICT\s*:\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE),
+}
 
 
 def naive_bm25_scores(passages, query, k1=1.2, b=0.75):

@@ -162,6 +162,32 @@ def test_run_rejects_unusable_output_before_any_call(tmp_path, capsys, monkeypat
     assert not (tmp_path / "missing").exists()
 
 
+def test_run_refuses_an_output_that_names_an_input(tmp_path, capsys, monkeypatch):
+    import zsl_kep.cli as cli_mod
+    sent = []
+
+    class _Recording(MockBackend):
+        def send(self, request, claim_id=None):
+            sent.append(claim_id)
+            return super().send(request, claim_id)
+
+    monkeypatch.setattr(cli_mod, "MockBackend", _Recording)
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    (fixture / "system.txt").write_text("You verify claims.", encoding="utf-8")
+    config = json.loads((fixture / "config.json").read_text(encoding="utf-8"))
+    _write_json(fixture / "config.json",
+                {**config, "prompt_overrides": {"prediction_system": "system.txt"}})
+    before = {p: p.read_bytes() for p in fixture.rglob("*") if p.is_file()}
+    monkeypatch.chdir(fixture / "stores")
+    for output in ("../claims.json", "../config.json", "../mock_script.json", "../system.txt",
+                   "./0.json"):
+        assert main(["run", "--config", str(fixture / "config.json"), "--output", output]) == 1
+        assert capsys.readouterr().err == f"error: output {output} is one of the run's inputs\n"
+    assert sent == []
+    assert {p: p.read_bytes() for p in fixture.rglob("*") if p.is_file()} == before
+
+
 def test_run_worker_override_still_deterministic(tmp_path):
     outputs = []
     for workers in (1, 4):
@@ -260,17 +286,23 @@ def test_score_self_and_report(tmp_path, capsys):
     assert len(payload["per_claim"]) == 4
 
 
-@pytest.mark.parametrize("stemming", [[], ["--stemming"]])
-def test_score_aggregates_are_correctly_rounded_means(tmp_path, capsys, stemming):
+def test_score_aggregates_are_correctly_rounded_means(tmp_path, capsys):
     out = tmp_path / "pred.json"
     main(["run", "--config", E2E_CONFIG, "--output", str(out)])
     report = tmp_path / "scores.json"
     assert main(["score", "--pred", str(out), "--gold", str(FIXTURE_DIR / "claims.json"),
-                 "--report", str(report), *stemming]) == 0
+                 "--report", str(report)]) == 0
     data = json.loads(report.read_text(encoding="utf-8"))
     n = len(data["per_claim"])
     for key in ("q_only", "q_plus_a"):
         assert data["aggregate"][key] == math.fsum(row[key] for row in data["per_claim"]) / n
+
+
+def test_score_has_no_stemming_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--pred", "p.json", "--gold", "g.json", "--stemming"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stemming" in capsys.readouterr().err
 
 
 def test_score_default_report_path(tmp_path, capsys):
@@ -297,6 +329,26 @@ def test_score_rejects_unusable_report_before_scoring(tmp_path, capsys, monkeypa
     assert err == f"error: cannot write score report to {path}\n"
     assert scored == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.json"]
+
+
+def test_score_refuses_a_report_that_names_an_input(tmp_path, capsys, monkeypatch):
+    import zsl_kep.cli as cli_mod
+    pred = tmp_path / "pred.json"
+    main(["run", "--config", E2E_CONFIG, "--output", str(pred)])
+    gold = tmp_path / "gold.json"
+    shutil.copy(FIXTURE_DIR / "claims.json", gold)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr(cli_mod, "score_run", lambda *a, **kw: scored.append(a))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for report in ("pred.json", "sub/../gold.json", str(gold)):
+        assert main(["score", "--pred", str(pred), "--gold", "gold.json",
+                     "--report", report]) == 1
+        assert capsys.readouterr().err == f"error: score report {report} is one of the inputs\n"
+    assert scored == []
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_score_missing_gold_field(tmp_path, capsys):
@@ -542,23 +594,3 @@ def test_run_latin1_claims_file_exits_1(tmp_path, capsys):
     assert "error:" in err and "claims.json: not UTF-8 text" in err
     assert not (tmp_path / "pred.json").exists()
 
-
-def test_score_stemming_flag(tmp_path, capsys):
-    gold = _write_json(tmp_path / "gold.json", [{
-        "claim": "c", "label": "Supported",
-        "questions": [{"question": "how many cats chase dogs",
-                       "answers": [{"answer": "three cats"}]}]}])
-    pred = _write_json(tmp_path / "pred.json", [{
-        "claim_id": 0, "claim": "c", "pred_label": "Supported", "justification": "",
-        "evidence": [{"question": "how many cat chase dog", "answer": "three cat",
-                      "answer_type": "Extractive", "url": "u", "scraped_text": "t",
-                      "citation_id": "0_0"}]}])
-    reports = {}
-    for flag in ([], ["--stemming"]):
-        report = tmp_path / f"scores{len(flag)}.json"
-        assert main(["score", "--pred", pred, "--gold", gold, "--report", str(report)] + flag) == 0
-        reports[bool(flag)] = json.loads(report.read_text(encoding="utf-8"))
-    assert reports[False]["params"]["stemming"] is False
-    assert reports[True]["params"]["stemming"] is True
-    assert (reports[True]["per_claim"][0]["q_only"]
-            > reports[False]["per_claim"][0]["q_only"])

@@ -4,9 +4,11 @@ import json
 import socket
 import threading
 import urllib.error
+from pathlib import Path
 
 import pytest
 
+from zsl_kep import cli
 from zsl_kep.corpus import MalformedInput
 from zsl_kep.llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway,
                                  GatewayError, HttpBackend, MalformedReply, MockBackend,
@@ -327,6 +329,48 @@ def test_http_urlopen_against_local_server(chat_server):
     with pytest.raises(TransportFailure, match="HTTP 500"):
         backend.send(_req())
     assert len(chat_server.received) == 4
+
+
+def test_run_through_http_backend_against_local_server(chat_server, tmp_path, capsys, monkeypatch):
+    # claim 0 is rate limited once, claim 1's prediction overflows once, claim 2's fails
+    fixture = Path(__file__).parent / "fixtures" / "e2e"
+    script = json.loads((fixture / "mock_script.json").read_text(encoding="utf-8"))
+
+    def ok(text):
+        return 200, json.dumps({"choices": [{"message": {"content": text},
+                                             "finish_reason": "stop"}]})
+
+    chat_server.replies = [
+        (429, "Rate limit reached, try again soon"), ok(script["0"][0]), ok(script["0"][1]),
+        ok(script["1"][0]), (413, "too big"), ok(script["1"][1]),
+        ok(script["2"][0]), (500, "internal error"),
+        ok(script["3"][0]), ok(script["3"][1]),
+    ]
+    host, port = chat_server.server_address
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "claims_path": str(fixture / "claims.json"), "store_dir": str(fixture / "stores"),
+        "backend": "http", "base_url": f"http://{host}:{port}/v1", "model_name": "local-model",
+        "workers": 1}), encoding="utf-8")
+    sleeps = []
+    gateway = cli.Gateway
+    monkeypatch.setattr(cli, "Gateway", lambda *a, **kw: gateway(*a, sleep=sleeps.append, **kw))
+    out = tmp_path / "pred.json"
+
+    assert cli.main(["run", "--config", str(config), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "claims processed: 4", "truncated runs: 1", "parse fallbacks: 0", "failed claims: 1",
+        "gateway overflows: 1", "gateway rate limits: 1", f"wrote predictions to {out}"]
+    assert sleeps == [0.5]
+    assert chat_server.replies == []
+    first, second = (payload["messages"][1]["content"]
+                     for _, _, payload in chat_server.received[4:6])
+    assert len(second) < len(first)  # the retry went out at the truncation caps
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    failed = [row["claim_id"] for row in rows
+              if row["justification"].startswith("No verdict could be generated")]
+    assert failed == [2]
+    assert rows[2]["justification"].endswith("HTTP 500: internal error")
 
 
 def test_http_urlopen_closed_port(monkeypatch):

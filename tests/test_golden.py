@@ -20,7 +20,6 @@ E2E_CONFIG = str(FIXTURE_DIR / "config.json")
 PREDICTIONS = "965d9417d18ae8f6b5aa17d5cf0db441bd79d033ce1c3500125f07ebc082cb4e"
 SCORE_REPORTS = {
     (): "49d9940aa21e2269cd6b1374cef5fe7e97040895c56796a0a2ab474087bed5af",
-    ("--stemming",): "dcb14a36fbe743d50fe02fdbb54986b8efef106cfa02b2f4c9de736d5bb58d59",
 }
 INSPECT_STDOUT = {
     (0, ()): "30c1967a2721e83e1057f30247c7fae4e23c34f421ec7f5ccaa73db6cc2710e5",
@@ -33,23 +32,19 @@ INSPECT_STDOUT = {
     (3, ("--no-llm",)): "c5370fa2bde2b5248e5feddc28411ea6c410aeebc960fa2651732a2b371e2897",
 }
 
-# seed-5 inputs of perfbench/workloads.py: predictions, score report, score
-# report with --stemming
+# seed-5 inputs of perfbench/workloads.py: predictions and score report
 WORKLOAD_DIGESTS = {
     "bulk_small": (
         "d75b24cd7afd05e1d3249e4b083369062c6c54314badf95122df883e16e095c0",
         "580e35ad265fb63119d46500ad83def1741bbd348b8004bb62ea915d06614fcb",
-        "7e93b84cb9f04a079cec32cc52f83eb28d41dc71853048b3cba13abb18c16de0",
     ),
     "large_store": (
         "366d7a83282dc52de264b0fc814c4a8a43312aeaf29f0c7044ced22f370a9faa",
         "d4026573920e025b0ecc690717775389354c5ee84b265defccb652d3f36aba7b",
-        "568211caff676f97b95acc52bd7962b519107d648bf253378ec19cdcbbf726a4",
     ),
     "score_heavy": (
         "093407b14bf77ea167c35aa33d9f810f548b2c8d3b94ce46979e6eaece80d0df",
         "3835efdb6a282c199b7dea4dba005d1e7ad3d02b2a39993ca2cdbe85dc6c2fc7",
-        "d80c40418daf501e18f593b85e9666149e543f056cb7904cd507707f888cf087",
     ),
 }
 # run's stderr summary: (claims, truncated, fallbacks, failed, overflows, rate limits)
@@ -93,7 +88,7 @@ def _load_workloads():
 @pytest.fixture(scope="module")
 def workload_outputs(tmp_path_factory):
     """Per workload: exit code and stderr of run (output path removed), and
-    the bytes of the predictions and of both score reports."""
+    the bytes of the predictions and of the score report."""
     workloads = _load_workloads()
     gateway = cli.Gateway
     outputs = {}
@@ -107,13 +102,11 @@ def workload_outputs(tmp_path_factory):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(["run", "--config", gen.config_path, "--output", pred])
-            files = [Path(pred).read_bytes()]
-            for flags in ((), ("--stemming",)):
-                report = out_dir / f"scores{len(flags)}.json"
-                with contextlib.redirect_stderr(io.StringIO()):
-                    assert main(["score", "--pred", pred, "--gold", gen.claims_path,
-                                 "--report", str(report), *flags]) == 0
-                files.append(report.read_bytes())
+            report = out_dir / "scores.json"
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["score", "--pred", pred, "--gold", gen.claims_path,
+                             "--report", str(report)]) == 0
+            files = [Path(pred).read_bytes(), report.read_bytes()]
             outputs[name] = code, err.getvalue().replace(pred, "<out>"), files
     return outputs
 

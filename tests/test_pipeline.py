@@ -2,19 +2,22 @@ import json
 import re
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zsl_kep.bm25 import build_index, retrieve
 from zsl_kep.config import RunConfig
 from zsl_kep.corpus import AnswerType, ClaimRecord, DocRef, VerdictLabel, resolve
 from zsl_kep.keypoints import KeyPointSet, PromptLibrary
 from zsl_kep.llm_gateway import Gateway, MockBackend, TransportFailure
+from zsl_kep import pipeline
 from zsl_kep.pipeline import (GROUP_SEPARATOR, RetrievalGroup, _truncate_groups,
                               build_prediction_prompt, build_unified_string, parse_prediction,
                               predict_with_retry, run_batch, run_claim, run_retrieval)
 
-from helpers import make_store
+from helpers import ORACLE_REPLY_PATTERNS, make_store
 
 CFG = RunConfig()
 LIBRARY = PromptLibrary.load()
@@ -216,6 +219,14 @@ def test_parse_prediction_missing_verdict_defaults_nee():
     assert fallbacks == 1
 
 
+def test_parse_prediction_justification_ends_at_any_verdict_label():
+    store = make_store([["a"]])
+    groups = _groups_for(store, [(DocRef(0, 0), "a")])
+    for reply in ("JUSTIFICATION: why\nVERDICT:", "JUSTIFICATION: why\n  VERDICT :\n\n"):
+        _, justification, verdict, _ = parse_prediction(reply, store, groups)
+        assert (justification, verdict) == ("why", VerdictLabel.NOT_ENOUGH_EVIDENCE)
+
+
 def test_parse_prediction_no_pairs_synthesizes_one():
     long_text = "word " * 100
     store = make_store([[long_text]])
@@ -230,6 +241,50 @@ def test_parse_prediction_no_pairs_synthesizes_one():
     assert fallbacks == 1
     assert verdict is VerdictLabel.SUPPORTED
 
+
+_BLANKS = st.text(" \t\r\x0b\x0c\x85\xa0\u2028", max_size=3)
+_REPLY_LINE = st.tuples(
+    _BLANKS,
+    st.sampled_from(["Q1", "q2", "A1", "a2", "TYPE1", "Type2", "CITE1", "cite2", "Q3", "Q03",
+                     "VERDICT", "verdict", "JUSTIFICATION", "Q", "words", ""]),
+    _BLANKS,
+    st.sampled_from([":", ": ", "", ":\n", "\n:"]),
+    _BLANKS,
+    st.sampled_from(["", "Supported", "refuted.", "Boolean", "extractive", "0_0", "0_1", "1_0",
+                     "9_9", "what is it?", "VERDICT: Refuted", "Q2: nested", "x  y"]),
+    _BLANKS,
+).map("".join) | st.sampled_from(["Q1: q", "A1: a", "TYPE1: Boolean", "CITE1: 0_0",
+                                  "JUSTIFICATION: why", "VERDICT: Supported"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_REPLY_LINE, max_size=8), st.sampled_from(["\n", "\n\n", "\r\n"]),
+       st.sampled_from(["", "\n", " ", "\nVERDICT:", "\nVERDICT :\n\n", "\nverdict: \n",
+                        "\nJUSTIFICATION:", "\nQ2:"]))
+@example(["VERDICT: Supported"], "\n", "\nVERDICT:")  # a label that ends the reply is no line
+@example(["VERDICT: Supported"], "\n", "\nverdict: \n")  # a blank one is, and wins
+def test_parse_prediction_equals_the_oracle_patterns(lines, newline, end):
+    store = make_store([["top passage", "other"], ["second url"]])
+    groups = _groups_for(store, [(DocRef(0, 1), "other")])
+    reply = newline.join(lines) + end
+    with pytest.MonkeyPatch.context() as mp:
+        for name, pattern in ORACLE_REPLY_PATTERNS.items():
+            mp.setattr(pipeline, name, pattern)
+        expected = parse_prediction(reply, store, groups)
+    assert parse_prediction(reply, store, groups) == expected
+
+
+@pytest.mark.parametrize("reply", [
+    "\n" * 100_000 + "VERDICT: Supported",
+    "Q1: a" + " " * 100_000 + "b\nVERDICT: Refuted" + " " * 100_000 + "x",
+], ids=["newlines", "spaces"])
+def test_parse_prediction_is_fast_on_long_blank_runs(reply):
+    # the cost was the square of the reply's length: minutes for these replies
+    store = make_store([["a"]])
+    groups = _groups_for(store, [(DocRef(0, 0), "a")])
+    start = time.perf_counter()
+    parse_prediction(reply, store, groups)
+    assert time.perf_counter() - start < 2.0
 
 def _truncation_fixture():
     claim_passages = [f"alpha reading number {i} from the sensor" for i in range(60)]

@@ -18,8 +18,7 @@ IDENTITY_6 = 1.0 - 0.5 / 216.0  # six-token self match, one chunk
 
 def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     """``_alignment`` of two token lists, through the strings' profiles."""
-    return scoring._alignment(scoring._profile(" ".join(hyp), False),
-                              scoring._profile(" ".join(ref), False))
+    return scoring._alignment(scoring._profile(" ".join(hyp)), scoring._profile(" ".join(ref)))
 
 
 # ---------------------------------------------------------------- meteor
@@ -69,44 +68,6 @@ def test_meteor_matches_independent_implementation():
         ref = " ".join(rng.choices(vocab, k=rng.randint(1, 7)))
         assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]),
                                                    abs=1e-9), (hyp, ref)
-
-
-@pytest.mark.parametrize("token, stem", [
-    ("running", "runn"),   # -ing from six letters on
-    ("bring", "bring"),    # too short for -ing
-    ("sing", "sing"),
-    ("jumped", "jump"),    # -ed from five letters on
-    ("red", "red"),
-    ("boxes", "box"),      # -es from five letters on
-    ("uses", "use"),       # too short for -es, so only -s goes
-    ("cats", "cat"),       # -s from four letters on
-    ("gas", "gas"),
-    ("glass", "glass"),    # -ss stays
-])
-def test_stem_suffix_table(token, stem):
-    assert scoring._stem(token) == stem
-
-
-def test_meteor_stemming_flag():
-    assert meteor("the cats", ["the cat"], stemming=True) > meteor("the cats", ["the cat"])
-    # default off: plural does not match
-    assert meteor("cats purr", ["cat purr"]) < meteor("cats purr", ["cat purr"], stemming=True)
-
-
-def _cleared_meteor(hyp, refs, stemming):
-    scoring._terms.cache_clear()
-    scoring._profile.cache_clear()
-    return meteor(hyp, refs, stemming=stemming)
-
-
-def test_meteor_caches_stemmed_and_plain_profiles_apart():
-    hyp, ref = "the cats jumped over cats", "the cat jumped over the cat"
-    expected = [_cleared_meteor(hyp, [ref], stemming) for stemming in (True, False)]
-    assert expected[0] > expected[1]
-    scoring._terms.cache_clear()
-    scoring._profile.cache_clear()
-    assert [meteor(hyp, [ref], stemming=True), meteor(hyp, [ref])] == expected
-    assert [meteor(hyp, [ref]), meteor(hyp, [ref], stemming=True)] == expected[::-1]
 
 
 def _small_pairs(min_size):
@@ -340,8 +301,7 @@ def test_evidence_score_sum_is_correctly_rounded(monkeypatch):
     # the plain left-to-right sum of 0.1, 0.2 and 0.3 is 0.6000000000000001 before
     # Python 3.12, so only a correctly rounded sum gives the same score everywhere
     monkeypatch.setattr(scoring, "meteor",
-                        lambda pred, variants, stemming=False:
-                        float(pred) if variants == [pred] else 0.0)
+                        lambda pred, variants: float(pred) if variants == [pred] else 0.0)
     assert evidence_score(["0.1", "0.2", "0.3"], ["0.1", "0.2", "0.3"]) == 0.6 / 3
 
 
@@ -403,9 +363,9 @@ def profiling(monkeypatch):
     tokenized, profiled = [], []
     tokenize, profile = scoring.tokenize, scoring._profile.__wrapped__
 
-    def counting_profile(text, stemming):
+    def counting_profile(text):
         profiled.append(text)
-        return profile(text, stemming)
+        return profile(text)
 
     monkeypatch.setattr(scoring, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
     monkeypatch.setattr(scoring, "_profile", functools.lru_cache(counting_profile))
