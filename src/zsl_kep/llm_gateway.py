@@ -60,8 +60,12 @@ _OVERFLOW_MARKERS = (
 
 API_KEY_ENV = "ZSLKEP_API_KEY"
 
-# wait before the first rate-limit retry; it doubles with every further one
+# the first rate-limit retry waits BACKOFF_BASE_S, each further one twice as long, up to the cap
 BACKOFF_BASE_S = 0.5
+BACKOFF_MAX_S = 30.0
+
+# most bytes of a reply body read (4 MiB): a longer 200 reply is refused, an error one cut
+MAX_REPLY_BYTES = 4 << 20
 
 
 @dataclass
@@ -193,18 +197,20 @@ class HttpBackend:
             except urllib.error.HTTPError as exc:
                 resp = exc  # an error reply still carries its status and body
             with resp:
-                status, body = resp.status, resp.read()
+                status, body = resp.status, resp.read(MAX_REPLY_BYTES + 1)
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportFailure(str(exc)) from exc
 
         if status != 200:
-            body = body.decode("utf-8", errors="replace")
+            body = body[:MAX_REPLY_BYTES].decode("utf-8", errors="replace")
             lowered = body.lower()
             if status == 413 or any(mark in lowered for mark in _OVERFLOW_MARKERS):
                 raise ContextOverflow(f"HTTP {status}: {body[:300]}")
             if status == 429:
                 raise RateLimited(f"HTTP 429: {body[:300]}")
             raise TransportFailure(f"HTTP {status}: {body[:300]}")
+        if len(body) > MAX_REPLY_BYTES:
+            raise MalformedReply(f"reply body longer than {MAX_REPLY_BYTES} bytes")
 
         try:
             data = json.loads(body)
@@ -219,9 +225,9 @@ class HttpBackend:
 class Gateway:
     """Shared front door for all LLM calls.
 
-    Prompt text passes through untouched. Rate limits are retried with
-    exponential backoff up to ``max_attempts`` total sends; context overflows
-    (including ones raised preemptively by the client-side prompt budget) go
+    Prompt text passes through untouched. Rate limits are retried with exponential
+    backoff, no wait over ``BACKOFF_MAX_S``, up to ``max_attempts`` total sends; context
+    overflows (including ones raised preemptively by the client-side prompt budget) go
     straight to the caller, and a reply whose text is not a string is a
     ``MalformedReply``. Counters make both visible for diagnostics."""
 
@@ -245,7 +251,7 @@ class Gateway:
                     f"prompt estimate {estimate} tokens exceeds budget {self.prompt_budget}"
                 )
 
-        failures = 0
+        failures, wait = 0, BACKOFF_BASE_S
         while True:
             try:
                 response = self.backend.send(request, claim_id)
@@ -258,7 +264,8 @@ class Gateway:
                 failures += 1
                 if failures >= self.max_attempts:
                     raise
-                self._sleep(BACKOFF_BASE_S * (2 ** (failures - 1)))
+                self._sleep(wait)
+                wait = min(2 * wait, BACKOFF_MAX_S)
             except ContextOverflow:
                 with self._lock:
                     self.overflow_count += 1

@@ -79,7 +79,9 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     current chunk is extended first, so the first complete alignment is the greedy one;
     after it a node budget caps the search (minimal chunks is NP-hard in general). A type
     in no hypothesis bigram the reference shares can never link, so its matches are counted
-    as one-token chunks and its positions only break runs in the search.
+    as one-token chunks and the search visits only the linked positions: a gap between two
+    of them resets ``prev``, so the match after it starts a chunk. A lone position has one
+    choice and changes no chunk count, so leaving it out keeps the other states in order.
 
     Two bounds prune the search. Where it completes, they leave its result as it was;
     where the node budget cuts it, the nodes they save can only lower the chunk count it
@@ -89,9 +91,9 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     m matches has fewer than m - min(m - 1, links) chunks, with links the sum over bigram
     types of the smaller count, and the search returns as soon as it reaches that floor
     (the adjacency bound of minimum common string partition, Goldstein, Kilman & Zheng
-    2005). Per state, each match still to place at or after position i starts a chunk
-    unless it follows a match through one of the reach[i] shared bigrams at positions i-1
-    onward, so a state whose chunks plus the excess of its remaining matches over reach[i]
+    2005). Per state, each match still to place at or after linked position i starts a
+    chunk unless it follows a match through one of the reach[i] shared bigrams ending there
+    or later, so a state whose chunks plus the excess of its remaining matches over reach[i]
     cannot beat the best complete alignment is cut.
 
     The arguments are the strings' ``_profile`` entries, the second cache level: counts,
@@ -99,12 +101,12 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     matrix however many cells it is in. ``meteor`` tests the pair for a shared token on
     the first level (``_terms``) before asking for them, so a disjoint pair builds none.
     Only what depends on both strings is built here: ``need``, the linked types, the link
-    count, ``ref_positions`` and ``reach``.
+    count, ``ref_positions``, the linked positions and their ``joined`` and ``reach``.
     """
     hyp, h_count, bigrams, h_bigram_count, later = hyp_profile
     ref, r_count, _, shared, _ = ref_profile
     need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
-    m, n = sum(need.values()), len(hyp)
+    m = sum(need.values())
     links, linked = 0, set()
     for pair, count in h_bigram_count.items():
         if pair in shared:
@@ -112,7 +114,7 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
             linked.update(pair)
     if not linked:
         return m, m
-    need = {t: need[t] for t in linked}  # the other types' positions only break runs
+    need = {t: need[t] for t in linked}  # the other types' positions are not visited
     lone = m - sum(need.values())
     m -= lone  # from here on, the matches the search places
     floor = m - min(m - 1, links)
@@ -120,15 +122,21 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     for pos, tok in enumerate(ref):
         if tok in need:
             ref_positions.setdefault(tok, []).append(pos)
-    reach = [0] * (n + 1)  # reach[i]: shared hypothesis bigrams starting at i-1 or later
-    for i in range(n - 1, 0, -1):
-        reach[i] = reach[i + 1] + (bigrams[i - 1] in shared)
-    reach[0] = reach[1]  # no bigram ends at position 0
+    kept = [i for i, tok in enumerate(hyp) if tok in need]  # linked positions: the states
+    n = len(kept)
+    # joined[k]: kept[k] directly follows kept[k-1]; reach[k]: shared hypothesis bigrams
+    # ending at kept[k] or later (both ends of a shared bigram are linked)
+    joined, reach = [False] * (n + 1), [0] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        joined[k] = kept[k] == kept[k - 1] + 1
+        reach[k] = reach[k + 1] + (joined[k] and bigrams[kept[k] - 1] in shared)
+    reach[0] = reach[1]
 
     best, nodes = m + 1, 0
-    # frames (i, remaining, used, prev, chunks, todo): a state at position i and its untried
-    # choices for hyp[i], taken from the end of todo: extension to prev + 1, new chunks by
-    # ascending slot, skip (-2, also "no previous slot"); the first frame skips into 0
+    # frames (i, remaining, used, prev, chunks, todo): a state at linked position kept[i]
+    # (lone positions have none, and a gap before kept[i] resets prev) and its untried
+    # choices, taken from the end of todo: extension to prev + 1, new chunks by ascending
+    # slot, skip (-2, also "no previous slot"); the first frame skips into 0
     stack = [(-1, m, 0, -2, 0, [-2])]
     while stack:
         i, remaining, used, prev, chunks, todo = stack[-1]
@@ -139,7 +147,7 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
             if pos >= 0:
                 remaining, used = remaining - 1, used | 1 << pos
                 chunks += pos != prev + 1
-            i, prev = i + 1, pos
+            i, prev = i + 1, pos if joined[i + 1] else -2
             excess = remaining - reach[i]  # at least this many matches left start a chunk
             if chunks + (excess if excess > 0 else 0) >= best or (remaining and i == n):
                 break
@@ -152,17 +160,17 @@ def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
             if nodes > _ALIGN_NODE_BUDGET:
                 break
 
-            tok = hyp[i]
-            positions = ref_positions.get(tok, ())
+            tok = hyp[kept[i]]
+            positions = ref_positions[tok]
             todo = [p for p in reversed(positions) if not used >> p & 1]
-            left = need.get(tok, 0) - (len(positions) - len(todo))
+            left = need[tok] - (len(positions) - len(todo))
             if left == 0:
                 pos = -2
                 continue
             if prev + 1 in todo:
                 todo.remove(prev + 1)
                 todo.append(prev + 1)
-            if later[i] >= left:
+            if later[kept[i]] >= left:
                 todo.insert(0, -2)
             pos = todo.pop()
             if todo:

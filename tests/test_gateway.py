@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zsl_kep import cli
+from zsl_kep import cli, llm_gateway
 from zsl_kep.corpus import MalformedInput
 from zsl_kep.llm_gateway import (ChatRequest, ChatResponse, ContextOverflow, Gateway,
                                  GatewayError, HttpBackend, MalformedReply, MockBackend,
@@ -135,6 +135,15 @@ def test_rate_limit_exhausts_attempts():
         gateway.complete(_req(), 0)
     assert len(backend.calls_for(0)) == 3
     assert sleeps == [0.5, 1.0]
+
+
+def test_rate_limit_wait_stops_doubling_at_the_cap():
+    backend = MockBackend({0: [{"error": "rate_limited"}] * 10})
+    sleeps = []
+    gateway = Gateway(backend, max_attempts=10, sleep=sleeps.append)
+    with pytest.raises(RateLimited):
+        gateway.complete(_req(), 0)
+    assert sleeps == [0.5, 1, 2, 4, 8, 16, 30, 30, 30]
 
 
 def test_prompt_budget_preempts_call():
@@ -329,6 +338,27 @@ def test_http_urlopen_against_local_server(chat_server):
     with pytest.raises(TransportFailure, match="HTTP 500"):
         backend.send(_req())
     assert len(chat_server.received) == 4
+
+
+def test_http_reply_body_is_read_up_to_the_cap(chat_server, monkeypatch):
+    reply = json.dumps({"choices": [{"message": {"content": "served"}, "finish_reason": "stop"}]})
+    monkeypatch.setattr(llm_gateway, "MAX_REPLY_BYTES", len(reply))
+    chat_server.replies = [(200, reply), (200, reply + " "), (500, "x" * 200),
+                           (429, "y" * 200), (400, "z" * len(reply) + " context length")]
+    backend = _local_backend(chat_server)
+
+    assert backend.send(_req()).text == "served"  # exactly at the cap
+    with pytest.raises(MalformedReply, match=f"longer than {len(reply)} bytes"):
+        backend.send(_req())
+    # an error reply is classified from its first MAX_REPLY_BYTES bytes
+    with pytest.raises(TransportFailure) as failure:
+        backend.send(_req())
+    assert failure.value.detail == "HTTP 500: " + "x" * len(reply)
+    with pytest.raises(RateLimited):
+        backend.send(_req())
+    with pytest.raises(TransportFailure, match="HTTP 400"):  # the marker lies past the cap
+        backend.send(_req())
+    assert chat_server.replies == []
 
 
 def test_run_through_http_backend_against_local_server(chat_server, tmp_path, capsys, monkeypatch):

@@ -107,12 +107,45 @@ def test_alignment_without_shared_bigram_is_all_single_tokens():
 
 def test_alignment_exact_where_the_full_search_hits_the_budget():
     # a search over all types runs out of nodes at 15 chunks; with the types
-    # in no shared bigram left out, it reaches the minimum, 14, within budget
+    # in no shared bigram counted apart and their positions not visited, it
+    # reaches the minimum, 14, within budget
     hyp = ("w28 w21 on is the and to w5 w20 w7 w18 a for w32 w38 w36 what and of w28 w37 on "
            "w17 w17 is the the a the of w28 what w14 on on a in of w2 in").split()
     ref = ("to w25 w18 w3 in and what is and what w4 w3 and for w3 w26 w32 to on on w18 the "
            "a to is and on").split()
     assert _align(hyp, ref) == (16, 14)
+
+
+@st.composite
+def _mostly_lone_pairs(draw):
+    """Pairs of up to 24 tokens: 2-3 words at most three times a side, the rest
+    single-use words, each on one side or on both, so most positions are lone."""
+    hyp, ref = [], []
+    for word in "abc"[:draw(st.integers(2, 3))]:
+        hyp += [word] * draw(st.integers(0, 3))
+        ref += [word] * draw(st.integers(0, 3))
+    for j in range(draw(st.integers(0, 15))):
+        for side in draw(st.sampled_from([(hyp,), (ref,), (hyp, ref)])):
+            side.append(f"w{j}")
+    return draw(st.permutations(hyp)), draw(st.permutations(ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mostly_lone_pairs())
+def test_meteor_equals_oracle_where_most_positions_are_lone(pair):
+    # the search steps over the linked positions only; each single-use type has
+    # one option, so the oracle stays cheap on these long pairs
+    hyp, ref = " ".join(pair[0]), " ".join(pair[1])
+    assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
+
+
+def test_meteor_budget_is_spent_on_linked_positions_only(monkeypatch):
+    # 20 nodes reach the oracle's minimum when lone positions cost none; a search
+    # that counts a node at each of them runs out first and scores 0.4888461538461538
+    monkeypatch.setattr(scoring, "_ALIGN_NODE_BUDGET", 20)
+    hyp, ref = "w3 a a w4 w5 b a w11 b w7 w9 a a", "a a a w8 w3 b w11 w2 b a w7 w6 a"
+    assert independent_meteor(hyp, [ref]) == pytest.approx(0.5723076923076923, abs=1e-12)
+    assert meteor(hyp, [ref]) == pytest.approx(0.5723076923076923, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
