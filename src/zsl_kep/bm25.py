@@ -36,9 +36,8 @@ with every passage holding a query term among the candidates.
 import heapq
 import math
 import re
-import string
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .corpus import DocRef, KnowledgeStore
 
@@ -51,8 +50,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # the same rule on ASCII text, where [^\W_] is [A-Za-z0-9] and lower() maps
 # only A-Z: letters lowercased, digits kept, every other code point below 128
 # (underscore and control characters included) a space
-_ASCII_TABLE = str.maketrans({chr(c): " " for c in range(128)}
-                             | {c: c.lower() for c in string.ascii_letters + string.digits})
+_ASCII_TABLE = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " "
+                              for c in range(128)})
 
 
 def tokenize(text: str) -> list[str]:
@@ -67,18 +66,18 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
-class ScoredDoc:
-    ref: DocRef
-    score: float
+ScoredDoc = namedtuple("ScoredDoc", "ref score")
 
 
-@dataclass
 class Bm25Index:
-    locations: list[tuple[int, int]]
-    postings: dict[str, list[int]]
-    impacts: dict[str, list[float]]
-    ceilings: dict[str, float]
+    __slots__ = ("locations", "postings", "impacts", "ceilings")
+
+    def __init__(self, locations: "list[tuple[int, int]]", postings: "dict[str, list[int]]",
+                 impacts: "dict[str, list[float]]", ceilings: "dict[str, float]"):
+        self.locations = locations
+        self.postings = postings
+        self.impacts = impacts
+        self.ceilings = ceilings
 
 
 def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
@@ -160,5 +159,5 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
         best = heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items()))
         # strictly above: a passage outside the candidates can neither beat nor tie a hit
         if not rest or -best[-1][0] > bound:
-            return [ScoredDoc(ref=DocRef(*index.locations[o]), score=-neg) for neg, o in best]
+            return [ScoredDoc(DocRef._make(index.locations[o]), -neg) for neg, o in best]
     return []

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .config import ConfigError, RunConfig
 from .corpus import (MalformedInput, load_claims, load_predictions, load_store, write_json,
@@ -54,7 +53,8 @@ def cmd_run(args) -> int:
         cfg.output_path = args.output
     cfg.validate()
     if args.print_config:
-        json.dump(asdict(cfg), sys.stdout, indent=2)
+        json.dump({name: getattr(cfg, name) for name in RunConfig.__annotations__}, sys.stdout,
+                  indent=2)
         sys.stdout.write("\n")
         return 0
 

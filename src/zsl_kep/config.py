@@ -8,7 +8,6 @@ top_p 0.8, 512/1024 new tokens.
 
 import math
 import os
-from dataclasses import dataclass, field, fields
 
 from .corpus import MalformedInput, read_json
 from .keypoints import TEMPLATE_NAMES
@@ -20,8 +19,10 @@ class ConfigError(ValueError):
     """Run configuration is incomplete or inconsistent."""
 
 
-@dataclass
 class RunConfig:
+    """Every setting, declared with its type and default. Fields are keyword
+    arguments only; an unknown one is a ``TypeError``."""
+
     claims_path: str = ""
     store_dir: str = ""
     output_path: str = "predictions.json"
@@ -42,7 +43,14 @@ class RunConfig:
     workers: int = 4
     max_attempts: int = 5
     prompt_budget: int = 8000
-    prompt_overrides: dict = field(default_factory=dict)
+    prompt_overrides: dict  # each instance gets its own, empty unless given
+
+    def __init__(self, **values):
+        for name in values:
+            if name not in self.__annotations__:
+                raise TypeError(f"RunConfig() got an unknown keyword argument {name!r}")
+        self.prompt_overrides = {}
+        self.__dict__.update(values)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -50,7 +58,7 @@ class RunConfig:
         if not isinstance(data, dict):
             raise MalformedInput(f"{path}: config must be a JSON object")
 
-        types = {f.name: f.type for f in fields(cls)}
+        types = cls.__annotations__
         for key, value in data.items():
             if key not in types:
                 raise ConfigError(f"unknown config field {key!r} in {path}")

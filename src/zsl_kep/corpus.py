@@ -9,7 +9,7 @@ used everywhere downstream.
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 _DOC_REF_RE = re.compile(r"^(\d+)_(\d+)$")
@@ -67,13 +67,11 @@ class AnswerType(_Label):
     UNANSWERABLE = "Unanswerable"
 
 
-@dataclass(frozen=True)
-class DocRef:
+class DocRef(namedtuple("DocRef", "url_index text_index")):
     """Address of one scraped passage: URL position in the store file plus
     passage position under that URL."""
 
-    url_index: int
-    text_index: int
+    __slots__ = ()
 
     def serialize(self) -> str:
         return f"{self.url_index}_{self.text_index}"
@@ -86,53 +84,34 @@ class DocRef:
         return cls(int(m.group(1)), int(m.group(2)))
 
 
-@dataclass
-class GoldQA:
-    question: str
-    answers: list[str]
+# records nothing changes after construction are namedtuples, cheap to create
+# at import; they unpack, hash and compare as tuples
+GoldQA = namedtuple("GoldQA", "question answers")
+# gold_verdict and gold_evidence are set in gold files only
+ClaimRecord = namedtuple("ClaimRecord", "claim_id text gold_verdict gold_evidence",
+                         defaults=(None, None))
+UrlEntry = namedtuple("UrlEntry", "url passages")
+KnowledgeStore = namedtuple("KnowledgeStore", "claim_id entries", defaults=((),))
+EvidenceItem = namedtuple("EvidenceItem",
+                          "question answer answer_type citation url scraped_text")
 
 
-@dataclass
-class ClaimRecord:
-    claim_id: int
-    text: str
-    gold_verdict: "VerdictLabel | None" = None
-    gold_evidence: "list[GoldQA] | None" = None
-
-
-@dataclass
-class UrlEntry:
-    url: str
-    passages: list[str]
-
-
-@dataclass
-class KnowledgeStore:
-    claim_id: int
-    entries: list[UrlEntry] = field(default_factory=list)
-
-
-@dataclass
-class EvidenceItem:
-    question: str
-    answer: str
-    answer_type: AnswerType
-    citation: DocRef
-    url: str
-    scraped_text: str
-
-
-@dataclass
 class VerdictReport:
-    claim_id: int
-    claim: str
-    evidence: list[EvidenceItem]
-    justification: str
-    verdict: VerdictLabel
-    # what the run degraded; not written to predictions
-    truncated: bool = False
-    parse_fallbacks: int = 0
-    failed: bool = False
+    __slots__ = ("claim_id", "claim", "evidence", "justification", "verdict",
+                 "truncated", "parse_fallbacks", "failed")
+
+    def __init__(self, claim_id: int, claim: str, evidence: "list[EvidenceItem]",
+                 justification: str, verdict: VerdictLabel, truncated: bool = False,
+                 parse_fallbacks: int = 0, failed: bool = False):
+        self.claim_id = claim_id
+        self.claim = claim
+        self.evidence = evidence
+        self.justification = justification
+        self.verdict = verdict
+        # what the run degraded; not written to predictions
+        self.truncated = truncated
+        self.parse_fallbacks = parse_fallbacks
+        self.failed = failed
 
 
 def read_json(path):

@@ -9,7 +9,7 @@ did. The generation settings of that call come from the run config.
 
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .llm_gateway import ChatRequest, GatewayError
 
@@ -34,15 +34,11 @@ def fill_placeholders(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(0), m.group(0)), template)
 
 
-@dataclass(frozen=True)
-class PromptLibrary:
+class PromptLibrary(namedtuple("PromptLibrary", TEMPLATE_NAMES)):
     """The four prompt templates, shipped as editable text assets and
     overridable per template via config."""
 
-    keypoint_system: str
-    keypoint_user: str
-    prediction_system: str
-    prediction_user: str
+    __slots__ = ()
 
     @classmethod
     def load(cls, overrides: "dict[str, str] | None" = None) -> "PromptLibrary":
@@ -55,10 +51,13 @@ class PromptLibrary:
         return cls(**texts)
 
 
-@dataclass
 class KeyPointSet:
-    primitives: list[str] = field(default_factory=list)
-    combined: list[str] = field(default_factory=list)
+    __slots__ = ("primitives", "combined")
+
+    def __init__(self, primitives: "list[str] | None" = None,
+                 combined: "list[str] | None" = None):
+        self.primitives = [] if primitives is None else primitives
+        self.combined = [] if combined is None else combined
 
     @property
     def n(self) -> int:

@@ -12,8 +12,7 @@ import math
 import os
 import threading
 import time
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .corpus import MalformedInput, read_json
 
@@ -68,29 +67,28 @@ BACKOFF_MAX_S = 30.0
 MAX_REPLY_BYTES = 4 << 20
 
 
-@dataclass
 class ChatRequest:
-    system_message: str
-    user_message: str
-    temperature: float = 0.0
-    top_p: float = 0.8
-    max_new_tokens: int = 512
+    __slots__ = ("system_message", "user_message", "temperature", "top_p", "max_new_tokens")
 
-    def __post_init__(self):
-        if self.temperature < 0:
+    def __init__(self, system_message: str, user_message: str, temperature: float = 0.0,
+                 top_p: float = 0.8, max_new_tokens: int = 512):
+        if temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if not math.isfinite(self.temperature):  # json.dumps would write NaN, not JSON
+        if not math.isfinite(temperature):  # json.dumps would write NaN, not JSON
             raise ValueError("temperature must be finite")
-        if not 0 < self.top_p <= 1:
+        if not 0 < top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
-        if self.max_new_tokens <= 0:
+        if max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
+        self.system_message = system_message
+        self.user_message = user_message
+        self.temperature = temperature
+        self.top_p = top_p
+        self.max_new_tokens = max_new_tokens
 
 
-@dataclass
-class ChatResponse:
-    text: str
-    finish_reason: str = "stop"  # stop | length | error
+# finish_reason: stop | length | error
+ChatResponse = namedtuple("ChatResponse", "text finish_reason", defaults=("stop",))
 
 
 class MockBackend:
@@ -159,7 +157,9 @@ class HttpBackend:
 
     ``transport`` stands in for ``urllib.request.urlopen``, the default. The
     HTTP modules are imported on the first send, so a mock run never loads
-    them (or ``ssl``)."""
+    them (or ``ssl``). ``timeout`` bounds each socket read, and a body chunk
+    that arrives once ``timeout`` seconds have passed since the send began
+    ends it with a ``TransportFailure``."""
 
     def __init__(self, base_url: str, model_name: str, api_key: "str | None" = None,
                  timeout: float = 120.0, transport=None):
@@ -188,6 +188,7 @@ class HttpBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         urlopen = self._urlopen or urllib.request.urlopen
+        deadline = time.monotonic() + self.timeout
         try:
             http_request = urllib.request.Request(  # ValueError on a malformed base_url
                 f"{self.base_url}/chat/completions", data=json.dumps(payload).encode("utf-8"),
@@ -197,7 +198,14 @@ class HttpBackend:
             except urllib.error.HTTPError as exc:
                 resp = exc  # an error reply still carries its status and body
             with resp:
-                status, body = resp.status, resp.read(MAX_REPLY_BYTES + 1)
+                status, body = resp.status, bytearray()
+                # one socket read per chunk, so a reply that trickles in meets the deadline
+                while len(body) <= MAX_REPLY_BYTES and (
+                        chunk := resp.read1(MAX_REPLY_BYTES + 1 - len(body))):
+                    if time.monotonic() > deadline:
+                        raise TransportFailure(f"timeout of {self.timeout} s passed while "
+                                               "reading the reply")
+                    body += chunk
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportFailure(str(exc)) from exc
 

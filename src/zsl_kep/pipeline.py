@@ -13,7 +13,6 @@ import os
 import queue
 import re
 import threading
-from dataclasses import dataclass, field
 
 from .bm25 import build_index, retrieve
 from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, KnowledgeStore,
@@ -38,12 +37,15 @@ _VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT\s*:(?!\n*\Z)\s*(.*)$", re.IGNORECASE
 _CITE_ID_RE = re.compile(r"(\d+)_(\d+)")
 
 
-@dataclass
 class RetrievalGroup:
-    query: str
-    kind: str  # "keypoint" | "claim"
-    docs: list[tuple[DocRef, str]] = field(default_factory=list)
-    scores: list[float] = field(default_factory=list)  # BM25 score of each doc
+    __slots__ = ("query", "kind", "docs", "scores")
+
+    def __init__(self, query: str, kind: str, docs: "list[tuple[DocRef, str]] | None" = None,
+                 scores: "list[float] | None" = None):
+        self.query = query
+        self.kind = kind  # "keypoint" | "claim"
+        self.docs = [] if docs is None else docs
+        self.scores = [] if scores is None else scores  # BM25 score of each doc
 
 
 def run_retrieval(store: KnowledgeStore, keypoints: KeyPointSet, claim: str,

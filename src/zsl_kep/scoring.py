@@ -31,8 +31,7 @@ nearly every pair is disjoint.
 
 import functools
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 
 from .bm25 import tokenize
 from .corpus import MAX_EVIDENCE, ClaimRecord, MalformedInput, VerdictReport
@@ -279,20 +278,12 @@ def evidence_score(pred_strings: list[str], gold_strings) -> float:
     return total / len(gold_variants)
 
 
-@dataclass
-class ClaimScore:
-    claim_id: int
-    q_only: float
-    q_plus_a: float
-    label_correct: bool
-    gated_correct: bool
-    gold_evidence_empty: bool = False
+ClaimScore = namedtuple("ClaimScore", "claim_id q_only q_plus_a label_correct gated_correct "
+                        "gold_evidence_empty", defaults=(False,))
 
 
-@dataclass
-class ScoreReport:
-    per_claim: list[ClaimScore]
-    aggregate: dict[str, float]
+class ScoreReport(namedtuple("ScoreReport", "per_claim aggregate")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -305,7 +296,7 @@ class ScoreReport:
                 "normalization": "gold_count",
             },
             "aggregate": dict(self.aggregate),
-            "per_claim": [asdict(c) for c in self.per_claim],
+            "per_claim": [c._asdict() for c in self.per_claim],
         }
 
 

@@ -59,6 +59,38 @@ def test_run_print_config(tmp_path, capsys):
     assert cfg["workers"] == 4
 
 
+_PRINTED_CONFIG = """{
+  "claims_path": "<FIXTURE>/claims.json",
+  "store_dir": "<FIXTURE>/stores",
+  "output_path": "<FIXTURE>/predictions.json",
+  "backend": "mock",
+  "base_url": "",
+  "model_name": "",
+  "mock_script_path": "<FIXTURE>/mock_script.json",
+  "claim_top_k": 70,
+  "keypoint_top_k": 12,
+  "truncate_claim": 55,
+  "truncate_keypoint": 9,
+  "k1": 1.2,
+  "b": 0.75,
+  "temperature": 0.0,
+  "top_p": 0.8,
+  "max_tokens_keypoints": 512,
+  "max_tokens_prediction": 1024,
+  "workers": 4,
+  "max_attempts": 5,
+  "prompt_budget": 8000,
+  "prompt_overrides": {}
+}
+"""
+
+
+def test_run_print_config_prints_every_field_in_declaration_order(capsys):
+    assert main(["run", "--config", E2E_CONFIG, "--print-config"]) == 0
+    fixture = json.dumps(str(FIXTURE_DIR))[1:-1]  # the directory as the JSON spells it
+    assert capsys.readouterr().out.replace(fixture, "<FIXTURE>") == _PRINTED_CONFIG
+
+
 def _minimal_setup(tmp_path, n_claims=2, stores_for=(0, 1), script=None):
     claims = [{"claim": f"test claim {i}"} for i in range(n_claims)]
     claims_path = _write_json(tmp_path / "claims.json", claims)

@@ -81,3 +81,8 @@ def test_validate_without_backend_skips_backend_checks(tmp_path):
 def test_from_file_rejects_non_object(tmp_path):
     with pytest.raises(MalformedInput, match="config must be a JSON object"):
         _load(tmp_path, [_VALID])
+
+
+def test_unknown_keyword_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown"):
+        RunConfig(unknown=1)

@@ -3,6 +3,7 @@ import io
 import json
 import socket
 import threading
+import time
 import urllib.error
 from pathlib import Path
 
@@ -359,6 +360,48 @@ def test_http_reply_body_is_read_up_to_the_cap(chat_server, monkeypatch):
     with pytest.raises(TransportFailure, match="HTTP 400"):  # the marker lies past the cap
         backend.send(_req())
     assert chat_server.replies == []
+
+
+class _DripHandler(http.server.BaseHTTPRequestHandler):
+    """Answers a POST with a 200 whose 70-byte body arrives one byte every 50 ms."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"choices": [{"message": {"content": "dripped out slowly"}}]})
+        data = body.encode("utf-8").ljust(70)
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        try:
+            for pos in range(len(data)):
+                self.wfile.write(data[pos:pos + 1])
+                self.wfile.flush()
+                time.sleep(0.05)
+        except OSError:  # the client hung up
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_timeout_bounds_the_whole_send(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _DripHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        backend = HttpBackend(f"http://{host}:{port}/v1", "m", api_key="", timeout=1.0)
+        start = time.monotonic()
+        with pytest.raises(TransportFailure, match="timeout of 1.0 s"):
+            backend.send(_req())
+        # each byte comes well inside the timeout, so only a bound on the whole send stops it
+        assert time.monotonic() - start < 2.5
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_run_through_http_backend_against_local_server(chat_server, tmp_path, capsys, monkeypatch):

@@ -35,3 +35,17 @@ def test_cli_import_loads_no_http_stack():
         [sys.executable, "-c", "import sys, zsl_kep.cli; print(' '.join(sys.modules))"],
         env=env, check=True, capture_output=True, text=True, timeout=60).stdout.split()
     assert {"ssl", "http.client", "urllib.request"}.isdisjoint(loaded)
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Records are namedtuples and plain classes, so start-up pays neither for
+    ``dataclasses`` nor for the ``inspect`` it imports."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsl_kep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys; before = set(sys.modules); import zsl_kep.cli; "
+              "print(' '.join(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout.split()
+    assert "zsl_kep.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
