@@ -7,7 +7,7 @@ The retrieval unit is the individual passage, scored with
 
 with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive;
 so is every term of the sum under the finite k1 >= 0 and 0 <= b <= 1 that
-``build_index`` enforces, and zero-score passages are never returned.
+``check_parameters`` enforces, and zero-score passages are never returned.
 
 An index serves the queries it was built for and holds their terms only:
 scoring needs just their df and every passage's length (Robertson &
@@ -80,18 +80,23 @@ class Bm25Index:
         self.ceilings = ceilings
 
 
-def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
-                b: float = 0.75) -> Bm25Index:
-    """Index the terms of ``queries`` over every non-empty passage; empty
-    ones stay out so they can never be retrieved, while their positional ids
-    remain stable. A negative or non-finite ``k1``, or ``b`` outside [0, 1],
-    raises ``ValueError``."""
+def check_parameters(k1: float, b: float) -> None:
+    """Raise ``ValueError`` for a negative or non-finite ``k1``, or ``b``
+    outside [0, 1]: every impact must be positive for the early stop."""
     if not k1 >= 0:  # NaN too
         raise ValueError("k1 must be >= 0")
     if not math.isfinite(k1):  # an infinite k1 makes every impact NaN
         raise ValueError("k1 must be finite")
     if not 0 <= b <= 1:
         raise ValueError("b must be in [0, 1]")
+
+
+def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
+                b: float = 0.75) -> Bm25Index:
+    """Index the terms of ``queries`` over every non-empty passage; empty
+    ones stay out so they can never be retrieved, while their positional ids
+    remain stable. Bad ``k1`` or ``b`` raises ``ValueError`` (``check_parameters``)."""
+    check_parameters(k1, b)
     # flat lists aligned per term, not a tuple per posting: less memory
     postings: dict[str, list[int]] = {t: [] for q in queries for t in tokenize(q)}
     term_freqs: dict[str, list[int]] = {term: [] for term in postings}

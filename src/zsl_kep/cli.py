@@ -37,8 +37,8 @@ def _build_gateway(cfg: RunConfig) -> Gateway:
 
 def _writable(path: str) -> bool:
     """Whether ``path`` names a file in an existing directory; checked before
-    the work whose result it is to hold."""
-    return os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)
+    the work whose result it is to hold. An empty path names no file."""
+    return bool(path) and os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)
 
 
 def _names_an_input(path: str, inputs) -> bool:

@@ -6,11 +6,12 @@ standard operating point: top_k 70/12, truncation 55/9, temperature 0,
 top_p 0.8, 512/1024 new tokens.
 """
 
-import math
 import os
 
+from .bm25 import check_parameters
 from .corpus import MalformedInput, read_json
 from .keypoints import TEMPLATE_NAMES
+from .llm_gateway import ChatRequest
 
 _PATH_FIELDS = ("claims_path", "store_dir", "output_path", "mock_script_path")
 
@@ -92,6 +93,9 @@ class RunConfig:
                 raise ConfigError("backend must be 'http' or 'mock'")
             if self.backend == "http" and (not self.base_url or not self.model_name):
                 raise ConfigError("backend=http requires base_url and model_name")
+            http_url = self.base_url.lower().startswith(("http://", "https://"))
+            if self.backend == "http" and not http_url:
+                raise ConfigError(f"base_url must be an http:// or https:// URL: {self.base_url!r}")
             if self.backend == "mock" and not self.mock_script_path:
                 raise ConfigError("backend=mock requires mock_script_path")
         if self.claim_top_k < 0 or self.keypoint_top_k < 0:
@@ -108,18 +112,11 @@ class RunConfig:
             )
         if self.truncate_claim < 1 or self.truncate_keypoint < 1:
             raise ConfigError("truncate_claim and truncate_keypoint must be >= 1")
-        if not self.k1 >= 0:  # NaN too, which JSON allows
-            raise ConfigError("k1 must be >= 0")
-        if not math.isfinite(self.k1):  # and Infinity
-            raise ConfigError("k1 must be finite")
-        if not 0 <= self.b <= 1:
-            raise ConfigError("b must be in [0, 1]")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
-        if not math.isfinite(self.temperature):
-            raise ConfigError("temperature must be finite")
-        if not 0 < self.top_p <= 1:
-            raise ConfigError("top_p must be in (0, 1]")
+        try:  # the rules of the code that takes these settings, in its words
+            check_parameters(self.k1, self.b)
+            ChatRequest("", "", self.temperature, self.top_p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.max_tokens_keypoints <= 0 or self.max_tokens_prediction <= 0:
             raise ConfigError("max token limits must be positive")
         if self.workers < 1:

@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 
-_DOC_REF_RE = re.compile(r"^(\d+)_(\d+)$")
+_DOC_REF_RE = re.compile(r"(\d+)_(\d+)")
 
 # evidence items per prediction: parse_prediction keeps at most this many and
 # load_predictions rejects more, which also bounds the assignment search
@@ -78,10 +78,19 @@ class DocRef(namedtuple("DocRef", "url_index text_index")):
 
     @classmethod
     def parse(cls, raw: str) -> "DocRef":
-        m = _DOC_REF_RE.match(raw.strip())
+        m = _DOC_REF_RE.fullmatch(raw.strip())
         if not m:
             raise MalformedInput(f"bad document id {raw!r}")
         return cls(int(m.group(1)), int(m.group(2)))
+
+    @classmethod
+    def find(cls, text: str) -> "DocRef | None":
+        """The first id anywhere in ``text``, or None (also for more digits than int() takes)."""
+        m = _DOC_REF_RE.search(text)
+        try:
+            return cls(int(m.group(1)), int(m.group(2))) if m else None
+        except ValueError:
+            return None
 
 
 # records nothing changes after construction are namedtuples, cheap to create

@@ -21,12 +21,9 @@ TEMPLATE_NAMES = ("keypoint_system", "keypoint_user", "prediction_system", "pred
 
 _PLACEHOLDER_RE = re.compile(r"<(?:claim|retrieval)>")
 _ITEM_RE = re.compile(r"^\d+[.)]\s*(.+)$")
-_PRIMITIVE_HEADER_RE = re.compile(r"^primitive\b\s*:?", re.IGNORECASE)
-_COMBINED_HEADER_RE = re.compile(r"^combined\b\s*:?", re.IGNORECASE)
-
-
-class ParseFailure(ValueError):
-    """A key point reply holds no primitive key points."""
+# which group matched picks the section: under IGNORECASE 'PRİMİTİVE' (U+0130) is
+# a header too, and its lower() is not 'primitive'
+_HEADER_RE = re.compile(r"^(?:(primitive)|combined)\b\s*:?", re.IGNORECASE)
 
 
 def fill_placeholders(template: str, values: dict[str, str]) -> str:
@@ -69,38 +66,33 @@ class KeyPointSet:
 
 
 def build_keypoint_prompt(claim: str, library: PromptLibrary) -> tuple[str, str]:
-    if not claim or not claim.strip():
-        raise ValueError("claim must be non-empty")
     return library.keypoint_system, fill_placeholders(library.keypoint_user, {"<claim>": claim})
 
 
 def parse_keypoints(response: str) -> KeyPointSet:
     """Pull numbered lines out of the PRIMITIVE: and COMBINED: sections.
 
-    Raises ParseFailure when no primitives are found; callers fall back to
-    claim-only retrieval.
+    A reply with no primitive key points gives the empty set: retrieval then
+    runs on the claim alone.
     """
     section = None
     primitives: list[str] = []
     combined: list[str] = []
     for raw in response.splitlines():
         line = raw.strip()
-        if _PRIMITIVE_HEADER_RE.match(line):
-            section = "primitive"
-            continue
-        if _COMBINED_HEADER_RE.match(line):
-            section = "combined"
+        header = _HEADER_RE.match(line)
+        if header:
+            section = primitives if header.group(1) else combined
             continue
         m = _ITEM_RE.match(line)
         if not m or section is None:
             continue
         text = m.group(1).strip()
-        if not text:
-            continue
-        (primitives if section == "primitive" else combined).append(text)
+        if text:
+            section.append(text)
 
-    if not primitives:
-        raise ParseFailure("no primitive key points in response")
+    if not primitives:  # combined key points are built from primitives
+        return KeyPointSet()
     return KeyPointSet(primitives[:MAX_PRIMITIVES], combined[:MAX_COMBINED])
 
 
@@ -108,19 +100,16 @@ def make_keypoints(gateway, claim: str, cfg, library: PromptLibrary,
                    claim_id: "int | None" = None) -> tuple[KeyPointSet, int]:
     """Build, send and parse the key point prompt at the run config's settings.
 
-    Returns (key point set, fallback count). Never raises: any gateway or
-    parse failure yields the empty set, which downstream means retrieval runs
-    on the claim alone.
+    Returns (key point set, fallback count). Never raises: a gateway failure
+    or a reply without primitives yields the empty set, which downstream means
+    retrieval runs on the claim alone, and counts one fallback.
     """
     system, user = build_keypoint_prompt(claim, library)
     request = ChatRequest(system_message=system, user_message=user,
                           temperature=cfg.temperature, top_p=cfg.top_p,
                           max_new_tokens=cfg.max_tokens_keypoints)
     try:
-        response = gateway.complete(request, claim_id)
+        keypoints = parse_keypoints(gateway.complete(request, claim_id).text)
     except GatewayError:
-        return KeyPointSet(), 1
-    try:
-        return parse_keypoints(response.text), 0
-    except ParseFailure:
-        return KeyPointSet(), 1
+        keypoints = KeyPointSet()
+    return keypoints, 0 if keypoints.primitives else 1

@@ -34,7 +34,6 @@ _FIELD_RE = re.compile(r"^[^\S\n]*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*)$", re.IGNORECA
 _JUSTIFICATION_RE = re.compile(r"^[^\S\n]*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE)
 _VERDICT_HEADER_RE = re.compile(r"^[^\S\n]*VERDICT\s*:", re.IGNORECASE | re.MULTILINE)
 _VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT\s*:(?!\n*\Z)\s*(.*)$", re.IGNORECASE | re.MULTILINE)
-_CITE_ID_RE = re.compile(r"(\d+)_(\d+)")
 
 
 class RetrievalGroup:
@@ -118,44 +117,36 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     verdict -> Not Enough Evidence, no pairs at all -> one synthesized pair.
     ``fallbacks`` counts the degradations."""
     fallbacks = 0
-    questions: dict[int, str] = {}
-    answers: dict[int, str] = {}
-    types: dict[int, str] = {}
-    cites: dict[int, str] = {}
-    buckets = {"Q": questions, "A": answers, "TYPE": types, "CITE": cites}
+    fields: dict[tuple[str, int], str] = {}  # (label, number) -> the first value given
     for m in _FIELD_RE.finditer(response):
         try:
             number = int(m.group(2))
         except ValueError:  # more digits than int() converts: no field
             continue
-        buckets[m.group(1).upper()].setdefault(number, m.group(3).strip())
+        fields.setdefault((m.group(1).upper(), number), m.group(3).strip())
 
     def resolve_citation(raw: str) -> "tuple[DocRef, str, str] | None":
-        m = _CITE_ID_RE.search(raw)
-        if m:
-            try:
-                ref = DocRef(int(m.group(1)), int(m.group(2)))
-                url, text = resolve(store, ref)
-                return ref, url, text
-            except (ValueError, UnknownDocRef):  # ValueError: too many digits for int()
-                pass
-        return None
+        ref = DocRef.find(raw)
+        try:
+            return None if ref is None else (ref, *resolve(store, ref))
+        except UnknownDocRef:
+            return None
 
     evidence: list[EvidenceItem] = []
-    for k in sorted(questions):
+    for k in sorted(number for label, number in fields if label == "Q"):
         if len(evidence) == MAX_EVIDENCE:
             break
-        question = questions[k]
+        question = fields["Q", k]
         if not question:
             continue
-        answer = answers.get(k, "")
+        answer = fields.get(("A", k), "")
 
-        answer_type = AnswerType.parse_lenient(types.get(k, ""))
+        answer_type = AnswerType.parse_lenient(fields.get(("TYPE", k), ""))
         if answer_type is None:
             answer_type = AnswerType.ABSTRACTIVE
             fallbacks += 1
 
-        resolved = resolve_citation(cites.get(k, ""))
+        resolved = resolve_citation(fields.get(("CITE", k), ""))
         if resolved is None:
             ref, url, text = _top_doc(groups, store)
             fallbacks += 1
@@ -282,11 +273,6 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
                                    KnowledgeStore(record.claim_id), str(exc))
         return run_claim(record, store, gateway, cfg, library)
 
-    def done(report: VerdictReport) -> VerdictReport:
-        if completed is not None:
-            completed.append(report)
-        return report
-
     # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
     # for claims still in flight (an HTTP call may take minutes)
     todo: queue.SimpleQueue = queue.SimpleQueue()
@@ -315,7 +301,9 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
             pos, report, exc = finished.get()
             if exc is not None:
                 raise exc
-            results[pos] = done(report)
+            results[pos] = report
+            if completed is not None:
+                completed.append(report)
     except BaseException:
         stop.set()  # claims not yet started are dropped, those in flight abandoned
         raise

@@ -194,6 +194,38 @@ def test_run_rejects_unusable_output_before_any_call(tmp_path, capsys, monkeypat
     assert not (tmp_path / "missing").exists()
 
 
+def test_run_rejects_an_empty_output_path_before_any_call(tmp_path, capsys, monkeypatch):
+    import zsl_kep.cli as cli_mod
+    sent = []
+
+    class _Recording(MockBackend):
+        def send(self, request, claim_id=None):
+            sent.append(claim_id)
+            return super().send(request, claim_id)
+
+    monkeypatch.setattr(cli_mod, "MockBackend", _Recording)
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    config = json.loads((fixture / "config.json").read_text(encoding="utf-8"))
+    _write_json(fixture / "config.json", {**config, "output_path": ""})
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(fixture / "config.json")]) == 1
+    assert capsys.readouterr().err == "error: cannot write predictions to \n"
+    assert sent == []
+    assert os.listdir(tmp_path) == ["e2e"]
+
+
+def test_run_rejects_a_base_url_that_is_not_http_before_any_work(tmp_path, capsys):
+    config_path = Path(_minimal_setup(tmp_path))
+    cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    _write_json(config_path, {**cfg, "backend": "http", "base_url": "localhost:8000/v1",
+                              "model_name": "m"})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == ("error: base_url must be an http:// or https:// URL: "
+                                       "'localhost:8000/v1'\n")
+    assert not (tmp_path / "pred.json").exists()
+
+
 def test_run_refuses_an_output_that_names_an_input(tmp_path, capsys, monkeypatch):
     import zsl_kep.cli as cli_mod
     sent = []

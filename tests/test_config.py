@@ -70,6 +70,21 @@ def test_validate_rejects_out_of_range_settings(tmp_path, changes, message):
         cfg.validate()
 
 
+_HTTP = {**_VALID, "backend": "http", "model_name": "m"}
+
+
+@pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://h/v1", "file:///tmp", "http:/h"])
+def test_validate_rejects_a_base_url_that_is_not_http(tmp_path, base_url):
+    cfg = _load(tmp_path, {**_HTTP, "base_url": base_url})
+    with pytest.raises(ConfigError, match="base_url must be an http:// or https:// URL"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("base_url", ["http://h/v1", "https://h", "HTTPS://h", "Http://h"])
+def test_validate_accepts_an_http_or_https_base_url_in_any_case(tmp_path, base_url):
+    _load(tmp_path, {**_HTTP, "base_url": base_url}).validate()
+
+
 def test_validate_without_backend_skips_backend_checks(tmp_path):
     _load(tmp_path, _VALID).validate()
     cfg = _load(tmp_path, {**_VALID, "backend": "", "mock_script_path": ""})

@@ -175,6 +175,21 @@ def test_docref_serialize_parse():
         DocRef.parse("3_1_2")
 
 
+def test_docref_parse_takes_the_whole_stripped_text():
+    assert DocRef.parse(" 0_1\n") == DocRef(0, 1)
+    with pytest.raises(MalformedInput):
+        DocRef.parse("x0_1")
+
+
+@pytest.mark.parametrize("text, ref", [
+    ("see <3_1> and 0_0", DocRef(3, 1)),
+    ("no id", None),
+    ("5" * 5000 + "_1", None),  # more digits than int() converts
+], ids=["first-of-two", "none", "too-many-digits"])
+def test_docref_find_gives_the_first_id_in_the_text(text, ref):
+    assert DocRef.find(text) == ref
+
+
 @given(st.integers(0, 10**6 - 1), st.integers(0, 10**6 - 1))
 def test_docref_round_trip(i, j):
     ref = DocRef(i, j)

@@ -1,8 +1,8 @@
 import pytest
 
 from zsl_kep.config import RunConfig
-from zsl_kep.keypoints import (KeyPointSet, ParseFailure, PromptLibrary, build_keypoint_prompt,
-                               make_keypoints, parse_keypoints)
+from zsl_kep.keypoints import (KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints,
+                               parse_keypoints)
 from zsl_kep.llm_gateway import Gateway, MockBackend
 
 CFG = RunConfig()
@@ -65,10 +65,21 @@ def test_parse_tolerates_noise_and_paren_numbering():
 
 
 def test_parse_failure_on_free_text():
-    with pytest.raises(ParseFailure):
-        parse_keypoints("no structure at all, just prose")
-    with pytest.raises(ParseFailure):
-        parse_keypoints("COMBINED:\n1. only combined without primitives")
+    assert parse_keypoints("no structure at all, just prose").n == 0
+    assert parse_keypoints("COMBINED:\n1. only combined without primitives").n == 0
+
+
+@pytest.mark.parametrize("reply, primitives, combined", [
+    # U+0130 matches 'i' under IGNORECASE, though its lower() is not 'i'
+    ("PR\u0130M\u0130T\u0130VE:\n1. p\nCOMB\u0130NED:\n1. c", ["p"], ["c"]),
+    ("Primitive key points\n1. p\ncombined\n1. c", ["p"], ["c"]),
+    # no header: no word boundary after 'primitive', and '_' is a word character
+    ("PRIMITIVE:\n1. p\nCOMBINED:\n1. c\nprimitives:\n2. q", ["p"], ["c", "q"]),
+    ("PRIMITIVE:\n1. p\nCOMBINED:\n1. c\nPRIMITIVE_POINTS:\n2. q", ["p"], ["c", "q"]),
+], ids=["dotted-capital-i", "words-after-header", "plural", "underscore"])
+def test_parse_header_spellings(reply, primitives, combined):
+    kps = parse_keypoints(reply)
+    assert (kps.primitives, kps.combined) == (primitives, combined)
 
 
 def test_parse_idempotent_after_render():
@@ -117,3 +128,10 @@ def test_make_keypoints_counts():
     kps, _ = make_keypoints(gateway, "claim", CFG, LIBRARY, claim_id=0)
     assert kps.n == 6
     assert len(kps.all_queries("claim")) == 7
+
+
+def test_make_keypoints_on_a_blank_claim_sends_and_never_raises():
+    backend = MockBackend({0: ["PRIMITIVE:\n1. a"]})
+    kps, fallbacks = make_keypoints(Gateway(backend), " ", CFG, LIBRARY, claim_id=0)
+    assert (kps.primitives, fallbacks) == (["a"], 0)
+    assert len(backend.requests) == 1

@@ -467,6 +467,26 @@ def test_run_claim_keypoint_failure_still_produces_report():
     assert report.parse_fallbacks == 1
 
 
+def test_run_batch_blank_claim_costs_only_itself(tmp_path):
+    store_dir = tmp_path / "stores"
+    store_dir.mkdir()
+    for cid in (0, 1):
+        (store_dir / f"{cid}.json").write_text(
+            json.dumps({"url": "u", "url2text": ["alpha beta", "gamma"]}) + "\n",
+            encoding="utf-8")
+    claims = [ClaimRecord(0, " "), ClaimRecord(1, "alpha")]
+    prediction = GOOD_RESPONSE.replace("3_1", "0_0")
+    backend = MockBackend({0: ["no key points for a blank claim", prediction],
+                           1: ["PRIMITIVE:\n1. beta", prediction]})
+    reports = run_batch(claims, Gateway(backend), RunConfig(store_dir=str(store_dir), workers=2))
+    assert [(r.claim_id, r.verdict, r.failed) for r in reports] == [
+        (0, VerdictLabel.SUPPORTED, False), (1, VerdictLabel.SUPPORTED, False)]
+    assert reports[0].parse_fallbacks == 1  # the key points only
+    _, user = build_prediction_prompt(" ", "", LIBRARY)  # " " has no term to retrieve on
+    assert backend.calls_for(0)[-1].user_message == user
+    assert "alpha beta <0_0>" in backend.calls_for(1)[-1].user_message
+
+
 @pytest.fixture
 def release():
     event = threading.Event()
