@@ -69,15 +69,7 @@ def tokenize(text: str) -> list[str]:
 ScoredDoc = namedtuple("ScoredDoc", "ref score")
 
 
-class Bm25Index:
-    __slots__ = ("locations", "postings", "impacts", "ceilings")
-
-    def __init__(self, locations: "list[tuple[int, int]]", postings: "dict[str, list[int]]",
-                 impacts: "dict[str, list[float]]", ceilings: "dict[str, float]"):
-        self.locations = locations
-        self.postings = postings
-        self.impacts = impacts
-        self.ceilings = ceilings
+Bm25Index = namedtuple("Bm25Index", "locations postings impacts ceilings")
 
 
 def check_parameters(k1: float, b: float) -> None:

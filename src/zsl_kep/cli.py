@@ -49,7 +49,7 @@ def _names_an_input(path: str, inputs) -> bool:
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.output:
+    if args.output is not None:
         cfg.output_path = args.output
     cfg.validate()
     if args.print_config:
@@ -98,7 +98,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_score(args) -> int:
-    report_path = args.report or os.path.splitext(args.pred)[0] + ".scores.json"
+    report_path = (args.report if args.report is not None
+                   else os.path.splitext(args.pred)[0] + ".scores.json")
     if _names_an_input(report_path, [args.pred, args.gold]):
         _log(f"error: score report {report_path} is one of the inputs")
         return 1
@@ -157,8 +158,9 @@ def cmd_inspect(args) -> int:
     groups = run_retrieval(store, keypoints, record.text, cfg)
     print(f"groups: {len(groups)}")
     for pos, group in enumerate(groups, start=1):
-        cap = cfg.claim_top_k if group.kind == "claim" else cfg.keypoint_top_k
-        print(f"group {pos}/{len(groups)} kind={group.kind} cap={cap} "
+        kind, cap = (("claim", cfg.claim_top_k) if pos == len(groups)
+                     else ("keypoint", cfg.keypoint_top_k))
+        print(f"group {pos}/{len(groups)} kind={kind} cap={cap} "
               f"docs={len(group.docs)} query={group.query!r}")
         for (ref, text), score in zip(group.docs, group.scores):
             snippet = text if len(text) <= 80 else text[:77] + "..."

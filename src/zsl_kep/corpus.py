@@ -93,8 +93,8 @@ class DocRef(namedtuple("DocRef", "url_index text_index")):
             return None
 
 
-# records nothing changes after construction are namedtuples, cheap to create
-# at import; they unpack, hash and compare as tuples
+# every record is a namedtuple, cheap to create at import; they unpack and
+# compare as tuples, and hash unless they hold a list
 GoldQA = namedtuple("GoldQA", "question answers")
 # gold_verdict and gold_evidence are set in gold files only
 ClaimRecord = namedtuple("ClaimRecord", "claim_id text gold_verdict gold_evidence",
@@ -103,24 +103,9 @@ UrlEntry = namedtuple("UrlEntry", "url passages")
 KnowledgeStore = namedtuple("KnowledgeStore", "claim_id entries", defaults=((),))
 EvidenceItem = namedtuple("EvidenceItem",
                           "question answer answer_type citation url scraped_text")
-
-
-class VerdictReport:
-    __slots__ = ("claim_id", "claim", "evidence", "justification", "verdict",
-                 "truncated", "parse_fallbacks", "failed")
-
-    def __init__(self, claim_id: int, claim: str, evidence: "list[EvidenceItem]",
-                 justification: str, verdict: VerdictLabel, truncated: bool = False,
-                 parse_fallbacks: int = 0, failed: bool = False):
-        self.claim_id = claim_id
-        self.claim = claim
-        self.evidence = evidence
-        self.justification = justification
-        self.verdict = verdict
-        # what the run degraded; not written to predictions
-        self.truncated = truncated
-        self.parse_fallbacks = parse_fallbacks
-        self.failed = failed
+# truncated, parse_fallbacks and failed say what the run degraded; not written to predictions
+VerdictReport = namedtuple("VerdictReport", "claim_id claim evidence justification verdict "
+                           "truncated parse_fallbacks failed", defaults=(False, 0, False))
 
 
 def read_json(path):

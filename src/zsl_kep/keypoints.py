@@ -48,13 +48,8 @@ class PromptLibrary(namedtuple("PromptLibrary", TEMPLATE_NAMES)):
         return cls(**texts)
 
 
-class KeyPointSet:
-    __slots__ = ("primitives", "combined")
-
-    def __init__(self, primitives: "list[str] | None" = None,
-                 combined: "list[str] | None" = None):
-        self.primitives = [] if primitives is None else primitives
-        self.combined = [] if combined is None else combined
+class KeyPointSet(namedtuple("KeyPointSet", "primitives combined", defaults=((), ()))):
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -13,6 +13,7 @@ import os
 import queue
 import re
 import threading
+from collections import namedtuple
 
 from .bm25 import build_index, retrieve
 from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, KnowledgeStore,
@@ -36,15 +37,8 @@ _VERDICT_HEADER_RE = re.compile(r"^[^\S\n]*VERDICT\s*:", re.IGNORECASE | re.MULT
 _VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT\s*:(?!\n*\Z)\s*(.*)$", re.IGNORECASE | re.MULTILINE)
 
 
-class RetrievalGroup:
-    __slots__ = ("query", "kind", "docs", "scores")
-
-    def __init__(self, query: str, kind: str, docs: "list[tuple[DocRef, str]] | None" = None,
-                 scores: "list[float] | None" = None):
-        self.query = query
-        self.kind = kind  # "keypoint" | "claim"
-        self.docs = [] if docs is None else docs
-        self.scores = [] if scores is None else scores  # BM25 score of each doc
+# one group per query, the claim's last; scores holds each doc's BM25 score
+RetrievalGroup = namedtuple("RetrievalGroup", "query docs scores", defaults=((), ()))
 
 
 def run_retrieval(store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
@@ -58,8 +52,7 @@ def run_retrieval(store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
     seen: set[DocRef] = set()
     groups: list[RetrievalGroup] = []
     for pos, query in enumerate(queries):
-        is_claim = pos == len(queries) - 1
-        top_k = cfg.claim_top_k if is_claim else cfg.keypoint_top_k
+        top_k = cfg.claim_top_k if pos == len(queries) - 1 else cfg.keypoint_top_k
         docs, scores = [], []
         for hit in retrieve(index, query, top_k):
             if hit.ref in seen:
@@ -67,8 +60,7 @@ def run_retrieval(store: KnowledgeStore, keypoints: KeyPointSet, claim: str,
             seen.add(hit.ref)
             docs.append((hit.ref, resolve(store, hit.ref)[1]))
             scores.append(hit.score)
-        groups.append(RetrievalGroup(query=query, kind="claim" if is_claim else "keypoint",
-                                     docs=docs, scores=scores))
+        groups.append(RetrievalGroup(query, docs, scores))
     return groups
 
 
@@ -95,9 +87,9 @@ def build_prediction_prompt(claim: str, unified: str,
 
 def _truncate_groups(groups: list[RetrievalGroup], claim_cap: int,
                      keypoint_cap: int) -> list[RetrievalGroup]:
-    caps = [claim_cap if g.kind == "claim" else keypoint_cap for g in groups]
-    return [RetrievalGroup(query=g.query, kind=g.kind, docs=g.docs[:cap], scores=g.scores[:cap])
-            for g, cap in zip(groups, caps)]
+    """Cap each group's documents: the claim group, last, at ``claim_cap``."""
+    caps = [keypoint_cap] * (len(groups) - 1) + [claim_cap]
+    return [RetrievalGroup(g.query, g.docs[:cap], g.scores[:cap]) for g, cap in zip(groups, caps)]
 
 
 def _top_doc(groups: list[RetrievalGroup], store: KnowledgeStore) -> tuple[DocRef, str, str]:
@@ -247,8 +239,7 @@ def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
     groups = run_retrieval(store, keypoints, record.text, cfg)
     report = predict_with_retry(gateway, groups, record.text, store, cfg,
                                 claim_id=record.claim_id, library=library)
-    report.parse_fallbacks += fallbacks
-    return report
+    return report._replace(parse_fallbacks=report.parse_fallbacks + fallbacks)
 
 
 def store_path_for(store_dir: str, claim_id: int) -> str:

@@ -275,7 +275,8 @@ class _CountedReads(list):
 def _retrieve_counting_reads(index, query, top_k):
     """retrieve's (ref, score) pairs, and per query term the times its impact
     list was read whole during the call."""
-    index.impacts = {term: _CountedReads(values) for term, values in index.impacts.items()}
+    index = index._replace(impacts={term: _CountedReads(values)
+                                    for term, values in index.impacts.items()})
     hits = [(d.ref, d.score) for d in retrieve(index, query, top_k)]
     return hits, {term: index.impacts[term].reads for term in tokenize(query)}
 

@@ -215,6 +215,28 @@ def test_run_rejects_an_empty_output_path_before_any_call(tmp_path, capsys, monk
     assert os.listdir(tmp_path) == ["e2e"]
 
 
+def test_run_rejects_an_empty_output_flag_before_any_call(tmp_path, capsys, monkeypatch):
+    # an explicit --output "" is refused, not replaced by the config's output_path
+    import zsl_kep.cli as cli_mod
+    sent = []
+
+    class _Recording(MockBackend):
+        def send(self, request, claim_id=None):
+            sent.append(claim_id)
+            return super().send(request, claim_id)
+
+    monkeypatch.setattr(cli_mod, "MockBackend", _Recording)
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    before = sorted(p.name for p in fixture.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", ""]) == 1
+    assert capsys.readouterr().err == "error: cannot write predictions to \n"
+    assert sent == []
+    assert os.listdir(tmp_path) == ["e2e"]
+    assert sorted(p.name for p in fixture.iterdir()) == before
+
+
 def test_run_rejects_a_base_url_that_is_not_http_before_any_work(tmp_path, capsys):
     config_path = Path(_minimal_setup(tmp_path))
     cfg = json.loads(config_path.read_text(encoding="utf-8"))
@@ -393,6 +415,22 @@ def test_score_rejects_unusable_report_before_scoring(tmp_path, capsys, monkeypa
     assert err == f"error: cannot write score report to {path}\n"
     assert scored == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.json"]
+
+
+def test_score_rejects_an_empty_report_path_before_scoring(tmp_path, capsys, monkeypatch):
+    # an explicit --report "" is refused, not replaced by <pred>.scores.json
+    import zsl_kep.cli as cli_mod
+    out = tmp_path / "pred.json"
+    main(["run", "--config", E2E_CONFIG, "--output", str(out)])
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr(cli_mod, "score_run", lambda *a, **kw: scored.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert main(["score", "--pred", "pred.json", "--gold", str(FIXTURE_DIR / "claims.json"),
+                 "--report", ""]) == 1
+    assert capsys.readouterr().err == "error: cannot write score report to \n"
+    assert scored == []
+    assert os.listdir(tmp_path) == ["pred.json"]
 
 
 def test_score_refuses_a_report_that_names_an_input(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
+import inspect
 import json
 
 import pytest
 
+from zsl_kep.bm25 import build_index
 from zsl_kep.config import ConfigError, RunConfig
 from zsl_kep.corpus import MalformedInput
+from zsl_kep.llm_gateway import ChatRequest, Gateway
 
 
 def _load(tmp_path, payload):
@@ -101,3 +104,14 @@ def test_from_file_rejects_non_object(tmp_path):
 def test_unknown_keyword_is_a_type_error():
     with pytest.raises(TypeError, match="unknown"):
         RunConfig(unknown=1)
+
+
+@pytest.mark.parametrize("func, names", [(build_index, ("k1", "b")),
+                                         (ChatRequest, ("temperature", "top_p")),
+                                         (Gateway, ("max_attempts", "prompt_budget"))])
+def test_signature_defaults_agree_with_the_run_config(func, names):
+    # RunConfig is the one source of the operating point: a default that the
+    # code taking a setting declares says the same
+    params = inspect.signature(func).parameters
+    assert {name: params[name].default for name in names} == {
+        name: getattr(RunConfig(), name) for name in names}

@@ -244,10 +244,8 @@ def test_write_predictions_failing_partway_keeps_the_old_file(tmp_path):
     before = path.read_bytes()
     # the dump has written a whole row, 64 KiB of justification, when it
     # reaches the claim it cannot encode
-    long = _report(1, VerdictLabel.REFUTED, [])
-    long.justification = "x" * 65536
-    broken = _report(2, VerdictLabel.REFUTED, [])
-    broken.claim = object()
+    long = _report(1, VerdictLabel.REFUTED, [])._replace(justification="x" * 65536)
+    broken = _report(2, VerdictLabel.REFUTED, [])._replace(claim=object())
     with pytest.raises(TypeError):
         write_predictions(path, [long, broken])
     assert path.read_bytes() == before

@@ -37,8 +37,7 @@ VERDICT: Supported"""
 def test_run_retrieval_claim_only():
     store = make_store([["alpha one", "alpha two", "beta"]])
     groups = run_retrieval(store, KeyPointSet(), "alpha", CFG)
-    assert len(groups) == 1
-    assert groups[0].kind == "claim"
+    assert len(groups) == 1  # the claim group alone, so last
     assert groups[0].query == "alpha"
     assert 0 < len(groups[0].docs) <= 70
 
@@ -47,7 +46,7 @@ def test_run_retrieval_group_shape_and_order():
     kps = KeyPointSet(["alpha", "beta", "gamma"], ["alpha beta"])
     store = make_store([["alpha", "beta", "gamma", "delta", "alpha beta"]])
     groups = run_retrieval(store, kps, "delta", CFG)
-    assert [g.kind for g in groups] == ["keypoint"] * 4 + ["claim"]
+    # key point groups in key point order, the claim group last
     assert [g.query for g in groups] == ["alpha", "beta", "gamma", "alpha beta", "delta"]
     for g in groups[:-1]:
         assert len(g.docs) <= 12
@@ -80,23 +79,23 @@ def test_run_retrieval_unique_keypoint_match_stays_in_keypoint_group():
 
 
 def test_unified_string_single_doc():
-    group = RetrievalGroup("q", "claim", [(DocRef(0, 0), "hello")])
+    group = RetrievalGroup("q", [(DocRef(0, 0), "hello")])
     assert build_unified_string([group]) == "hello <0_0>"
 
 
 def test_unified_string_groups_and_separator():
     groups = [
-        RetrievalGroup("q1", "keypoint", [(DocRef(0, 0), "p1")]),
-        RetrievalGroup("q2", "claim", [(DocRef(1, 0), "p2")]),
+        RetrievalGroup("q1", [(DocRef(0, 0), "p1")]),
+        RetrievalGroup("q2", [(DocRef(1, 0), "p2")]),
     ]
     assert build_unified_string(groups) == "p1 <0_0>\n\n-----\n\np2 <1_0>"
 
 
 def test_unified_string_skips_empty_groups():
     groups = [
-        RetrievalGroup("q1", "keypoint", []),
-        RetrievalGroup("q2", "keypoint", [(DocRef(0, 1), "a")]),
-        RetrievalGroup("q3", "claim", [(DocRef(2, 0), "b"), (DocRef(2, 1), "c")]),
+        RetrievalGroup("q1", []),
+        RetrievalGroup("q2", [(DocRef(0, 1), "a")]),
+        RetrievalGroup("q3", [(DocRef(2, 0), "b"), (DocRef(2, 1), "c")]),
     ]
     assert build_unified_string(groups) == "a <0_1>\n\n-----\n\nb <2_0>\nc <2_1>"
 
@@ -139,7 +138,7 @@ def test_prediction_prompt_excludes_keypoints():
 
 
 def _groups_for(store, texts_by_ref):
-    return [RetrievalGroup("q", "claim", [(ref, text) for ref, text in texts_by_ref])]
+    return [RetrievalGroup("q", [(ref, text) for ref, text in texts_by_ref])]
 
 
 def test_parse_prediction_well_formed():
@@ -344,9 +343,9 @@ def test_group_scores_align_with_docs_through_truncation():
         score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, len(index.locations))}
         assert group.scores == [score_of[ref] for ref, _ in group.docs]
     for caps in ((55, 9), (27, 4), (1, 1)):
-        for cut, full in zip(_truncate_groups(groups, *caps), groups):
-            kept = len(cut.docs)
-            assert kept == min(len(full.docs), caps[0] if full.kind == "claim" else caps[1])
+        for pos, (cut, full) in enumerate(zip(_truncate_groups(groups, *caps), groups)):
+            kept = len(cut.docs)  # the claim group, last, takes the claim cap
+            assert kept == min(len(full.docs), caps[0] if pos == len(groups) - 1 else caps[1])
             assert (cut.docs, cut.scores) == (full.docs[:kept], full.scores[:kept])
 
 
