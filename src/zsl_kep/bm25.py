@@ -12,13 +12,16 @@ so is every term of the sum under the finite k1 >= 0 and 0 <= b <= 1 that
 An index serves the queries it was built for and holds their terms only:
 scoring needs just their df and every passage's length (Robertson &
 Zaragoza 2009), and a claim's queries use a few dozen terms of a store of
-up to tens of thousands of passages. Per term it keeps the ascending
-ordinals of the passages holding it (``postings``, so df is its length;
-empty if none does) with each posting's impact, its whole term of the sum
-above, computed once at build time (``impacts``, Anh & Moffat 2006). Per
-ordinal it keeps the passage's ``(url_index, text_index)``, and a ``DocRef``
-is made only for a passage that is returned. A term of no indexed query
-raises ``KeyError``.
+up to tens of thousands of passages. An ordinal counts every passage of the
+store by position, empty ones included. Per term the index keeps the
+ascending ordinals of the passages holding it (``postings``, so df is its
+length; empty if none does) with each posting's impact, its whole term of the
+sum above, computed once at build time (``impacts``, Anh & Moffat 2006). Both
+are typed arrays, ``array('i')`` and ``array('d')``, so no Python object is
+kept per posting; a 32-bit C int bounds an ordinal to 2**31 - 1. Per URL entry
+the index keeps the ordinal of its first passage (``starts``), and a
+``DocRef`` is made, by search in ``starts``, only for a passage that is
+returned. A term of no indexed query raises ``KeyError``.
 
 Per term the index also keeps its largest impact (``ceilings``). ``retrieve``
 visits the query's terms rarest first, gathering the passages that hold a
@@ -36,7 +39,8 @@ with every passage holding a query term among the candidates.
 import heapq
 import math
 import re
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .corpus import DocRef, KnowledgeStore
@@ -69,7 +73,7 @@ def tokenize(text: str) -> list[str]:
 ScoredDoc = namedtuple("ScoredDoc", "ref score")
 
 
-Bm25Index = namedtuple("Bm25Index", "locations postings impacts ceilings")
+Bm25Index = namedtuple("Bm25Index", "starts postings impacts ceilings")
 
 
 def check_parameters(k1: float, b: float) -> None:
@@ -89,37 +93,41 @@ def build_index(store: KnowledgeStore, queries: list[str], k1: float = 1.2,
     ones stay out so they can never be retrieved, while their positional ids
     remain stable. Bad ``k1`` or ``b`` raises ``ValueError`` (``check_parameters``)."""
     check_parameters(k1, b)
-    # flat lists aligned per term, not a tuple per posting: less memory
+    # plain lists while scanning, as list.append is about 4x faster than array.append
     postings: dict[str, list[int]] = {t: [] for q in queries for t in tokenize(q)}
     term_freqs: dict[str, list[int]] = {term: [] for term in postings}
     vocab = set(postings)
-    locations: list[tuple[int, int]] = []
-    doc_lengths: list[int] = []
+    starts: list[int] = []
+    doc_lengths: list[int] = []  # one per ordinal, 0 for an empty passage
+    n_docs = 0
 
-    for u, entry in enumerate(store.entries):
-        for t, passage in enumerate(entry.passages):
+    for entry in store.entries:
+        starts.append(len(doc_lengths))
+        for passage in entry.passages:
             if not passage:
+                doc_lengths.append(0)
                 continue
             tokens = tokenize(passage)
-            ordinal = len(locations)
-            locations.append((u, t))
+            ordinal = len(doc_lengths)
             doc_lengths.append(len(tokens))
+            n_docs += 1
             for term in vocab.intersection(tokens):
                 postings[term].append(ordinal)
                 term_freqs[term].append(tokens.count(term))
 
-    n_docs = len(locations)
     avg = sum(doc_lengths) / n_docs if n_docs else 0.0
     # avg is 0 only when no passage has a token, and then no posting needs a norm
     norms = [k1 * (1.0 - b + b * length / avg) for length in doc_lengths] if avg else []
-    impacts: dict[str, list[float]] = {}
+    # frozen per term into typed arrays: no Python object per posting
+    impacts: dict[str, array] = {}
     for term, plist in postings.items():
         df = len(plist)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        impacts[term] = [idf * tf * (k1 + 1.0) / (tf + norms[o])
-                         for o, tf in zip(plist, term_freqs[term])]
+        impacts[term] = array("d", [idf * tf * (k1 + 1.0) / (tf + norms[o])
+                                    for o, tf in zip(plist, term_freqs.pop(term))])
+        postings[term] = array("i", plist)
     ceilings = {term: max(values, default=0.0) for term, values in impacts.items()}
-    return Bm25Index(locations, postings, impacts, ceilings)
+    return Bm25Index(starts, postings, impacts, ceilings)
 
 
 def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
@@ -156,5 +164,12 @@ def retrieve(index: Bm25Index, query: str, top_k: int) -> list[ScoredDoc]:
         best = heapq.nsmallest(top_k, ((-s, o) for o, s in scores.items()))
         # strictly above: a passage outside the candidates can neither beat nor tie a hit
         if not rest or -best[-1][0] > bound:
-            return [ScoredDoc(DocRef._make(index.locations[o]), -neg) for neg, o in best]
+            return [ScoredDoc(_doc_ref(index.starts, o), -neg) for neg, o in best]
     return []
+
+
+def _doc_ref(starts: list[int], ordinal: int) -> DocRef:
+    """The passage at ``ordinal``: the last URL entry starting at or before it
+    holds it, as an entry without passages starts where the next one does."""
+    u = bisect_right(starts, ordinal) - 1
+    return DocRef(u, ordinal - starts[u])

@@ -27,14 +27,14 @@ GROUP_SEPARATOR = "\n\n-----\n\n"
 FALLBACK_QUESTION = "What does the retrieved evidence say about the claim?"
 FALLBACK_ANSWER_CHARS = 200
 
-# A label may follow blanks on its own line only, and each value runs to its line's end
-# and is stripped in Python, so no attempt rescans later lines or a value's blanks: the
-# parse is linear in the reply. An empty value takes the next nonblank line; a VERDICT
-# label followed by nothing but newlines is no verdict line.
-_FIELD_RE = re.compile(r"^[^\S\n]*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*)$", re.IGNORECASE | re.MULTILINE)
-_JUSTIFICATION_RE = re.compile(r"^[^\S\n]*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE)
-_VERDICT_HEADER_RE = re.compile(r"^[^\S\n]*VERDICT\s*:", re.IGNORECASE | re.MULTILINE)
-_VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT\s*:(?!\n*\Z)\s*(.*)$", re.IGNORECASE | re.MULTILINE)
+# A label is its name, blanks and a colon on one line, after blanks only, and its value
+# runs to that line's end and is stripped in Python, so no attempt rescans later lines or
+# a value's blanks: the parse is linear in the reply. An empty value stays empty, and a
+# VERDICT line counts whatever its value: an empty one is Not Enough Evidence.
+_FIELD_RE = re.compile(r"^[^\S\n]*(Q|A|TYPE|CITE)(\d+)[^\S\n]*:[^\S\n]*(.*)$",
+                       re.IGNORECASE | re.MULTILINE)
+_JUSTIFICATION_RE = re.compile(r"^[^\S\n]*JUSTIFICATION[^\S\n]*:", re.IGNORECASE | re.MULTILINE)
+_VERDICT_RE = re.compile(r"^[^\S\n]*VERDICT[^\S\n]*:(.*)$", re.IGNORECASE | re.MULTILINE)
 
 
 # one group per query, the claim's last; scores holds each doc's BM25 score
@@ -162,9 +162,9 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     just_headers = list(_JUSTIFICATION_RE.finditer(response))
     if just_headers:
         start = just_headers[-1].end()
-        tail = response[start:]
-        verdict_in_tail = _VERDICT_HEADER_RE.search(tail)
-        justification = (tail[: verdict_in_tail.start()] if verdict_in_tail else tail).strip()
+        # searched in place, so "^" matches at line starts only, not at the label's colon
+        verdict_after = _VERDICT_RE.search(response, start)
+        justification = response[start:verdict_after.start() if verdict_after else None].strip()
 
     verdict = None
     verdict_matches = _VERDICT_RE.findall(response)

@@ -37,16 +37,15 @@ def reference_tokenize(text):
     return tokens
 
 
-# The reply patterns of ``zsl_kep.pipeline`` as first written: each ``^\s*`` may run
+# The reply grammar of ``zsl_kep.pipeline`` as plain patterns: each ``^\s*`` may run
 # over later lines and each lazy value rescans its blanks, so they cost the square of
 # the reply's length, but what they match is the grammar. ``parse_prediction`` with
 # them swapped in for its own gives the oracle parse.
 ORACLE_REPLY_PATTERNS = {
-    "_FIELD_RE": re.compile(r"^\s*(Q|A|TYPE|CITE)(\d+)\s*:\s*(.*?)\s*$",
+    "_FIELD_RE": re.compile(r"^\s*(Q|A|TYPE|CITE)(\d+)[^\S\n]*:[^\S\n]*(.*?)\s*$",
                             re.IGNORECASE | re.MULTILINE),
-    "_JUSTIFICATION_RE": re.compile(r"^\s*JUSTIFICATION\s*:", re.IGNORECASE | re.MULTILINE),
-    "_VERDICT_HEADER_RE": re.compile(r"^\s*VERDICT\s*:", re.IGNORECASE | re.MULTILINE),
-    "_VERDICT_RE": re.compile(r"^\s*VERDICT\s*:\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE),
+    "_JUSTIFICATION_RE": re.compile(r"^\s*JUSTIFICATION[^\S\n]*:", re.IGNORECASE | re.MULTILINE),
+    "_VERDICT_RE": re.compile(r"^\s*VERDICT[^\S\n]*:[^\S\n]*(.*?)\s*$", re.IGNORECASE | re.MULTILINE),
 }
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,31 +55,41 @@ def test_tokenize_matches_reference(text):
 def test_build_index_counts():
     store = make_store([["a b", "c d", "e"], ["f g", "h"]])
     index = build_index(store, ["a h"])
-    assert len(index.locations) == 5
-    assert index.locations[0] == (0, 0)
-    assert index.locations[4] == (1, 1)
+    assert index.starts == [0, 3]
+    assert (index.postings["a"], index.postings["h"]) == (array("i", [0]), array("i", [4]))
+    assert {d.ref for d in retrieve(index, "a h", 10)} == {DocRef(0, 0), DocRef(1, 1)}
 
 
 def test_build_index_skips_empty_passage():
     store = make_store([["a b", "", "c"]])
     index = build_index(store, ["a c"])
-    assert len(index.locations) == 2
-    assert (0, 1) not in index.locations
+    # the empty passage keeps its ordinal but holds no posting
+    assert (index.postings["a"], index.postings["c"]) == (array("i", [0]), array("i", [2]))
     # neighbouring ids unchanged
-    assert index.locations == [(0, 0), (0, 2)]
+    assert {d.ref for d in retrieve(index, "a c", 10)} == {DocRef(0, 0), DocRef(0, 2)}
+
+
+def test_doc_refs_skip_url_entries_without_passages():
+    store = make_store([[], ["a"], [], ["", "a b"], []])
+    index = build_index(store, ["a"])
+    assert index.starts == [0, 0, 1, 1, 3]
+    assert [d.ref.serialize() for d in retrieve(index, "a", 10)] == ["1_0", "3_1"]
 
 
 def test_doc_frequencies_by_hand():
     index = build_index(make_store([["a b", "b c b"]]), ["a b", "c"])
     assert {term: len(plist) for term, plist in index.postings.items()} == {"a": 1, "b": 2, "c": 1}
-    assert index.postings["b"] == [0, 1]
+    assert index.postings["b"] == array("i", [0, 1])
+    assert {v.typecode for v in index.postings.values()} == {"i"}
+    assert {v.typecode for v in index.impacts.values()} == {"d"}
     # lengths 2 and 3, so avg 2.5; k1 = 1.2 and b = 0.75 by default
     norms = [1.2 * (1.0 - 0.75 + 0.75 * length / 2.5) for length in (2, 3)]
     idf = {df: math.log(1.0 + (2 - df + 0.5) / (df + 0.5)) for df in (1, 2)}
     assert index.impacts == {
-        "a": [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[0])],
-        "b": [idf[2] * 1 * (1.2 + 1.0) / (1 + norms[0]), idf[2] * 2 * (1.2 + 1.0) / (2 + norms[1])],
-        "c": [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[1])],
+        "a": array("d", [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[0])]),
+        "b": array("d", [idf[2] * 1 * (1.2 + 1.0) / (1 + norms[0]),
+                         idf[2] * 2 * (1.2 + 1.0) / (2 + norms[1])]),
+        "c": array("d", [idf[1] * 1 * (1.2 + 1.0) / (1 + norms[1])]),
     }
     with pytest.raises(KeyError):  # a miss does not grow the index
         index.postings["zz"]
@@ -85,10 +97,10 @@ def test_doc_frequencies_by_hand():
 
 def test_indexed_term_without_posting_has_no_hits():
     index = build_index(make_store([["a b", "b c"]]), ["a zz"])
-    assert index.postings["zz"] == [] and index.impacts["zz"] == []
+    assert len(index.postings["zz"]) == len(index.impacts["zz"]) == 0
     # both passages have length 2, so the norm is k1 = 1.2
     idf = math.log(1.0 + (2 - 1 + 0.5) / (1 + 0.5))
-    assert index.impacts["a"] == [idf * 1 * (1.2 + 1.0) / (1 + 1.2)]
+    assert index.impacts["a"] == array("d", [idf * 1 * (1.2 + 1.0) / (1 + 1.2)])
     assert retrieve(index, "zz", 10) == []
     assert [d.ref for d in retrieve(index, "zz a", 10)] == [DocRef(0, 0)]
 
@@ -104,8 +116,8 @@ def test_unindexed_query_term_raises():
 
 def _scores(index, query):
     """Every passage's BM25 score for ``query``; passages retrieve leaves out
-    scored zero."""
-    return {d.ref: d.score for d in retrieve(index, query, len(index.locations))}
+    scored zero. No more passages score than there are postings."""
+    return {d.ref: d.score for d in retrieve(index, query, sum(map(len, index.postings.values())))}
 
 
 def test_score_hand_evaluated():
@@ -207,10 +219,30 @@ def test_postings_score_equals_naive_recount(passages, query):
     scores = _scores(index, query)
     for ordinal, i in enumerate(kept):
         assert scores.get(DocRef(0, i), 0.0) == pytest.approx(oracle[ordinal], abs=1e-9)
-    assert len(index.locations) == len(kept)
+    # ordinals are positions, and no empty passage holds a posting
+    assert index.starts == [0]
+    assert all(passages[o] for plist in index.postings.values() for o in plist)
 
 
 _FUNCTION_WORDS = ["the", "of", "and", "to", "a", "in", "is", "that"]
+
+
+def test_index_keeps_no_python_object_per_posting():
+    # about 68,000 postings over 20,000 passages, half their words function words;
+    # two typed arrays take 12 bytes a posting; a boxed int and float would take about 66
+    rng = random.Random(26)
+    vocab = _FUNCTION_WORDS + [f"w{i}" for i in range(200)]
+    store = make_store([[" ".join(rng.choices(_FUNCTION_WORDS, k=4) + rng.choices(vocab, k=4))
+                         for _ in range(100)] for _ in range(200)])
+    tracemalloc.start()
+    try:
+        index = build_index(store, ["the of and", "to a in", "is that the"])
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_postings = sum(map(len, index.postings.values()))
+    assert n_postings > 60_000
+    assert retained / n_postings <= 20
 
 
 def _zipf_passage_lists(rng):
@@ -310,9 +342,9 @@ def test_rare_terms_decide_without_reading_the_common_term():
 def test_passage_outside_the_candidates_tying_the_kth_hit_wins_by_ordinal():
     # by hand: passage 2 alone holds "x" and scores 1.0, the ceiling of "y",
     # which passage 0 reaches; the tie goes to the lower ordinal
-    index = Bm25Index(locations=[(0, 0), (0, 1), (0, 2), (0, 3)],
-                      postings={"x": [2], "y": [0, 1, 3]},
-                      impacts={"x": [1.0], "y": [1.0, 0.5, 0.5]},
+    index = Bm25Index(starts=[0],
+                      postings={"x": array("i", [2]), "y": array("i", [0, 1, 3])},
+                      impacts={"x": array("d", [1.0]), "y": array("d", [1.0, 0.5, 0.5])},
                       ceilings={"x": 1.0, "y": 1.0})
     hits, reads = _retrieve_counting_reads(index, "x y", 1)
     assert hits == [(DocRef(0, 0), 1.0)]

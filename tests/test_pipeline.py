@@ -224,6 +224,32 @@ def test_parse_prediction_justification_ends_at_any_verdict_label():
     for reply in ("JUSTIFICATION: why\nVERDICT:", "JUSTIFICATION: why\n  VERDICT :\n\n"):
         _, justification, verdict, _ = parse_prediction(reply, store, groups)
         assert (justification, verdict) == ("why", VerdictLabel.NOT_ENOUGH_EVIDENCE)
+    # a "verdict:" after the justification's own label starts no line, so it is text
+    reply = "JUSTIFICATION: Verdict: the source says so.\nVERDICT: Supported"
+    _, justification, verdict, _ = parse_prediction(reply, store, groups)
+    assert (justification, verdict) == ("Verdict: the source says so.", VerdictLabel.SUPPORTED)
+
+
+def test_parse_prediction_empty_value_stays_empty():
+    # the empty question does not take the next line, so A1 keeps its own label
+    store = make_store([["a"]])
+    groups = _groups_for(store, [(DocRef(0, 0), "a")])
+    for reply in ("Q1:\nA1: x\nVERDICT: Supported", "Q1\t:\r\nA1: x\nVERDICT: Supported"):
+        evidence, _, verdict, fallbacks = parse_prediction(reply, store, groups)
+        assert [ev.question for ev in evidence] == [pipeline.FALLBACK_QUESTION]
+        assert (verdict, fallbacks) == (VerdictLabel.SUPPORTED, 1)
+    # a label and its colon share a line
+    evidence, _, _, _ = parse_prediction("Q1\n: q\nQ2: q2\nVERDICT: Supported", store, groups)
+    assert [ev.question for ev in evidence] == ["q2"]
+
+
+@pytest.mark.parametrize("bare", ["VERDICT:", "VERDICT: ", "verdict :\n\n", "VERDICT:\nSupported"])
+def test_parse_prediction_bare_verdict_line_counts_as_nee(bare):
+    store = make_store([["a"]])
+    groups = _groups_for(store, [(DocRef(0, 0), "a")])
+    reply = "Q1: q\nA1: a\nTYPE1: Boolean\nCITE1: 0_0\nVERDICT: Supported\n" + bare
+    _, _, verdict, fallbacks = parse_prediction(reply, store, groups)
+    assert (verdict, fallbacks) == (VerdictLabel.NOT_ENOUGH_EVIDENCE, 1)
 
 
 def test_parse_prediction_no_pairs_synthesizes_one():
@@ -260,8 +286,9 @@ _REPLY_LINE = st.tuples(
 @given(st.lists(_REPLY_LINE, max_size=8), st.sampled_from(["\n", "\n\n", "\r\n"]),
        st.sampled_from(["", "\n", " ", "\nVERDICT:", "\nVERDICT :\n\n", "\nverdict: \n",
                         "\nJUSTIFICATION:", "\nQ2:"]))
-@example(["VERDICT: Supported"], "\n", "\nVERDICT:")  # a label that ends the reply is no line
-@example(["VERDICT: Supported"], "\n", "\nverdict: \n")  # a blank one is, and wins
+@example(["VERDICT: Supported"], "\n", "\nVERDICT:")  # a bare last label counts, and wins
+@example(["VERDICT: Supported"], "\n", "\nverdict: \n")  # so does one with blanks after it
+@example(["Q1:", "A1: x"], "\n", "")  # an empty value stays empty
 def test_parse_prediction_equals_the_oracle_patterns(lines, newline, end):
     store = make_store([["top passage", "other"], ["second url"]])
     groups = _groups_for(store, [(DocRef(0, 1), "other")])
@@ -339,8 +366,9 @@ def test_predict_halves_caps_on_second_overflow():
 def test_group_scores_align_with_docs_through_truncation():
     store, groups = _truncation_fixture()
     index = build_index(store, [group.query for group in groups])
+    n_passages = sum(len(entry.passages) for entry in store.entries)
     for group in groups:
-        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, len(index.locations))}
+        score_of = {hit.ref: hit.score for hit in retrieve(index, group.query, n_passages)}
         assert group.scores == [score_of[ref] for ref, _ in group.docs]
     for caps in ((55, 9), (27, 4), (1, 1)):
         for pos, (cut, full) in enumerate(zip(_truncate_groups(groups, *caps), groups)):
