@@ -205,7 +205,7 @@ def load_store(path, claim_id: int) -> KnowledgeStore:
                 if not isinstance(passages, list) or any(not isinstance(p, str) for p in passages):
                     raise MalformedInput(
                         f"{path}: line {line_no} 'url2text' must be a string array")
-                entries.append(UrlEntry(url=url, passages=list(passages)))
+                entries.append(UrlEntry(url=url, passages=passages))
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
     return KnowledgeStore(claim_id=claim_id, entries=entries)

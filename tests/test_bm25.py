@@ -4,9 +4,9 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from zsl_kep.bm25 import Bm25Index, build_index, retrieve, tokenize
+from zsl_kep.bm25 import _ASCII_TABLE, _BYTE_TABLE, Bm25Index, build_index, retrieve, tokenize
 from zsl_kep.corpus import DocRef
 
 from helpers import make_store, naive_bm25_scores, reference_tokenize
@@ -50,6 +50,11 @@ def test_tokenize_non_ascii_lowers_before_splitting():
 ))
 def test_tokenize_matches_reference(text):
     assert tokenize(text) == reference_tokenize(text)
+
+
+def test_byte_table_is_the_ascii_table_encoded():
+    for c in range(128):
+        assert bytes([c]).translate(_BYTE_TABLE) == chr(c).translate(_ASCII_TABLE).encode()
 
 
 def test_build_index_counts():
@@ -222,6 +227,34 @@ def test_postings_score_equals_naive_recount(passages, query):
     # ordinals are positions, and no empty passage holds a posting
     assert index.starts == [0]
     assert all(passages[o] for plist in index.postings.values() for o in plist)
+
+
+# ASCII separators and control characters beside letters whose lowering is
+# context dependent or not one character, a digit-like '²' and a curly quote
+_MIXED_TEXT = st.text(alphabet="aZ09_ -.\x00\x1c\x7fİΣς²é \u2019", max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_MIXED_TEXT, max_size=6), min_size=1, max_size=4),
+       st.lists(_MIXED_TEXT, min_size=1, max_size=3))
+@example([["a Z", "é a", "", "Σa ς"], ["aé’Z9", "-."]], ["A é", "zz", "ς9"])
+def test_index_over_ascii_and_non_ascii_passages_equals_naive_recount(passage_lists, queries):
+    # ASCII passages are scanned as bytes and the others by tokenize, into one
+    # index; the oracle recounts every passage with tokenize alone
+    index = build_index(make_store(passage_lists), queries)
+    kept = [(DocRef(u, t), p) for u, passages in enumerate(passage_lists)
+            for t, p in enumerate(passages) if p]
+    ordinal = {ref: o for o, ref in enumerate(
+        DocRef(u, t) for u, passages in enumerate(passage_lists) for t in range(len(passages)))}
+    for term in index.postings:
+        holders = [ordinal[ref] for ref, p in kept if term in tokenize(p)]
+        assert list(index.postings[term]) == holders
+        # a one-term query scores each holder by its term count and length alone
+        recount = naive_bm25_scores([p for _, p in kept], term)
+        assert list(index.impacts[term]) == [s for s in recount if s > 0.0]
+    for query in queries:
+        assert [(d.ref, d.score) for d in retrieve(index, query, len(ordinal))] == \
+            _oracle_ranking(kept, query)
 
 
 _FUNCTION_WORDS = ["the", "of", "and", "to", "a", "in", "is", "that"]
