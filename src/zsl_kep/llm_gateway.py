@@ -7,6 +7,7 @@ recovering from those (by shrinking the prompt) is the pipeline's job, and the
 two failure kinds must stay distinguishable for that to work.
 """
 
+import io
 import json
 import math
 import os
@@ -152,14 +153,60 @@ class MockBackend:
         raise MalformedReply(f"unusable script entry for claim {key}: {entry!r}")
 
 
+def _urlopen_until(deadline: float):
+    """``urlopen`` whose every socket read of the reply, status line and headers
+    included, waits at most until ``deadline`` on the ``time.monotonic`` clock: the
+    socket timeout is set to the time left before each read, and a read asked for
+    once it has passed raises ``TimeoutError``."""
+    import http.client
+    import urllib.request
+
+    class Reader(io.RawIOBase):
+        def __init__(self, sock, raw):
+            self.sock, self.raw = sock, raw
+
+        def readable(self):
+            return True
+
+        def readinto(self, buffer):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("deadline passed")
+            self.sock.settimeout(left)
+            return self.raw.readinto(buffer)
+
+        def close(self):
+            self.raw.close()
+            super().close()
+
+    class Response(http.client.HTTPResponse):
+        def __init__(self, sock, *args, **kwargs):
+            super().__init__(sock, *args, **kwargs)  # nothing is read yet
+            self.fp = io.BufferedReader(Reader(sock, self.fp.detach()))
+
+    class Timed:  # puts Response on each connection a handler opens
+        def do_open(self, http_class, req, **kwargs):
+            def connection(*args, **kw):
+                conn = http_class(*args, **kw)
+                conn.response_class = Response
+                return conn
+            return super().do_open(connection, req, **kwargs)
+
+    handlers = [type("TimedHTTP", (Timed, urllib.request.HTTPHandler), {})]
+    if hasattr(urllib.request, "HTTPSHandler"):  # Python built with ssl
+        handlers.append(type("TimedHTTPS", (Timed, urllib.request.HTTPSHandler), {}))
+    return urllib.request.build_opener(*handlers).open
+
+
 class HttpBackend:
     """POSTs to ``{base_url}/chat/completions`` in the OpenAI chat format.
 
-    ``transport`` stands in for ``urllib.request.urlopen``, the default. The
-    HTTP modules are imported on the first send, so a mock run never loads
-    them (or ``ssl``). ``timeout`` bounds each socket read, and a body chunk
-    that arrives once ``timeout`` seconds have passed since the send began
-    ends it with a ``TransportFailure``."""
+    ``transport`` stands in for ``urllib.request.urlopen``; the default is an
+    opener whose every socket read of the reply, status line and headers
+    included, waits no longer than what is left of ``timeout`` since the send
+    began, so a reply that trickles in ends the send with a
+    ``TransportFailure`` once ``timeout`` has passed. The HTTP modules are
+    imported on the first send, so a mock run never loads them (or ``ssl``)."""
 
     def __init__(self, base_url: str, model_name: str, api_key: "str | None" = None,
                  timeout: float = 120.0, transport=None):
@@ -187,8 +234,7 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        urlopen = self._urlopen or urllib.request.urlopen
-        deadline = time.monotonic() + self.timeout
+        urlopen = self._urlopen or _urlopen_until(time.monotonic() + self.timeout)
         try:
             http_request = urllib.request.Request(  # ValueError on a malformed base_url
                 f"{self.base_url}/chat/completions", data=json.dumps(payload).encode("utf-8"),
@@ -199,13 +245,12 @@ class HttpBackend:
                 resp = exc  # an error reply still carries its status and body
             with resp:
                 status, body = resp.status, bytearray()
-                # one socket read per chunk, so a reply that trickles in meets the deadline
                 while len(body) <= MAX_REPLY_BYTES and (
                         chunk := resp.read1(MAX_REPLY_BYTES + 1 - len(body))):
-                    if time.monotonic() > deadline:
-                        raise TransportFailure(f"timeout of {self.timeout} s passed while "
-                                               "reading the reply")
                     body += chunk
+        except TimeoutError as exc:
+            raise TransportFailure(f"timeout of {self.timeout} s passed while waiting for "
+                                   "the reply") from exc
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportFailure(str(exc)) from exc
 

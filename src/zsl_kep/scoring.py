@@ -8,7 +8,10 @@ chunks (maximal runs matching contiguously on both sides), then
     penalty = GAMMA*(ch/m)**BETA, score = F*(1-penalty)
 
 with the fixed constants GAMMA=0.5 and BETA=3. Stemming and synonym stages
-are deliberately out.
+are deliberately out. The fewest chunks is m minus the largest consistent set
+of links, where a link pairs a hypothesis bigram with an equal reference
+bigram; ``_alignment`` searches the link sets, exactly unless a pair exceeds
+its node budget or its link cap, and then keeps a complete alignment.
 
 Predicted evidence strings are matched to gold ones with a max-sum assignment
 (exact subset search, exponential only in the smaller side, which predictions
@@ -22,13 +25,14 @@ per ``evidence_score`` matrix and shared by its cells. Two caches keyed by
 its text hold it, both cleared when a matrix starts, so nothing carries over
 from one matrix or call to the next. The first holds a string's tokens and
 their set: every pair needs them, and the sets tell a pair that shares no
-token, as most do where the evidence differs, without counting.
-The second holds the token counts, bigrams, bigram counts and ``later`` that
-the alignment search reads. It is built only for a string in a pair that
-shares a token: built for every string, it cost more than it saved where
-nearly every pair is disjoint.
+token, as most do where the evidence differs, without counting. The second
+holds the types, the counts of repeated types and the positions of each
+bigram, which the alignment search reads. It is built only for a string in a
+pair that shares a token: built for every string, it cost more than it saved
+where nearly every pair is disjoint.
 """
 
+import bisect
 import functools
 import math
 from collections import Counter, namedtuple
@@ -40,9 +44,13 @@ GATE_THRESHOLD = 0.25
 GAMMA = 0.5
 BETA = 3.0
 
-# minimal-chunk search nodes allowed after the first (greedy) complete
-# alignment; past them the best alignment found so far is kept
+# link-set search nodes allowed per pair, counted once a component has its first
+# (greedy) complete set; past them each component keeps the best set found
 _ALIGN_NODE_BUDGET = 200_000
+
+# candidate links a pair keeps; past it each hypothesis bigram keeps only its
+# nearest reference occurrences
+_ALIGN_LINK_CAP = 4_000
 
 # strings whose METEOR work one evidence_score matrix keeps (it clears them on
 # entry); a matrix with more distinct strings only recomputes the evicted ones
@@ -57,124 +65,155 @@ def _terms(text: str) -> tuple[list[str], set[str]]:
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile(text: str) -> tuple:
+def _profile(text: str) -> tuple[set, dict, dict]:
     """What the alignment search needs of a string that shares a token with another:
-    (tokens, token counts, bigrams, bigram counts, later), where later[i] counts the
-    occurrences of tokens[i] in tokens[i+1:]."""
-    tokens = _terms(text)[0]
-    bigrams = list(zip(tokens, tokens[1:]))
-    later, seen = [0] * len(tokens), {}
-    for i in range(len(tokens) - 1, -1, -1):
-        later[i] = seen.get(tokens[i], 0)
-        seen[tokens[i]] = later[i] + 1
-    return tokens, Counter(tokens), bigrams, Counter(bigrams), later
+    (its types, {repeated type: occurrences - 1}, {bigram "a b": its start positions})."""
+    tokens, types = _terms(text)
+    repeats = {t: c - 1 for t, c in Counter(tokens).items() if c > 1}
+    starts: dict[str, list[int]] = {}
+    for i, bigram in enumerate(map(" ".join, zip(tokens, tokens[1:]))):
+        starts.setdefault(bigram, []).append(i)
+    return types, repeats, starts
+
+
+def _nearest(positions: list[int], i: int, keep: int) -> list[int]:
+    """The ``keep`` entries of the ascending ``positions`` closest to i, ties to the lower."""
+    hi = bisect.bisect_left(positions, i)
+    lo = hi - 1
+    chosen = []
+    while len(chosen) < keep and (lo >= 0 or hi < len(positions)):
+        if hi == len(positions) or lo >= 0 and i - positions[lo] <= positions[hi] - i:
+            chosen.append(positions[lo])
+            lo -= 1
+        else:
+            chosen.append(positions[hi])
+            hi += 1
+    return chosen
 
 
 def _alignment(hyp_profile: tuple, ref_profile: tuple) -> tuple[int, int]:
     """(matches, chunks) of a maximum alignment with minimal chunk count.
 
-    Depth-first branch and bound over hypothesis positions: each is matched to a free
-    reference slot of its token or skipped while enough later occurrences remain. The
-    current chunk is extended first, so the first complete alignment is the greedy one;
-    after it a node budget caps the search (minimal chunks is NP-hard in general). A type
-    in no hypothesis bigram the reference shares can never link, so its matches are counted
-    as one-token chunks and the search visits only the linked positions: a gap between two
-    of them resets ``prev``, so the match after it starts a chunk. A lone position has one
-    choice and changes no chunk count, so leaving it out keeps the other states in order.
+    A link (i, j) says that the hypothesis bigram at i equals the reference bigram at j;
+    an alignment realizes it when it maps i to j and i + 1 to j + 1, so the two matches
+    share a chunk (chunks are runs adjacent on both sides, Banerjee & Lavie 2005). A
+    maximum alignment of m matches has m minus the links it realizes chunks. Conversely,
+    any set of links whose position pairs form a one-to-one map extends to a maximum
+    alignment, since each type keeps as many free slots on both sides as it has matches
+    left to place. So the fewest chunks is m minus the largest consistent link set.
 
-    Two bounds prune the search. Where it completes, they leave its result as it was;
-    where the node budget cuts it, the nodes they save can only lower the chunk count it
-    returns. A match joins its predecessor's chunk only where a hypothesis bigram lands on
-    the same reference bigram (chunks are runs adjacent on both sides, Banerjee & Lavie
-    2005), and each such link uses one bigram occurrence on each side: so no alignment of
-    m matches has fewer than m - min(m - 1, links) chunks, with links the sum over bigram
-    types of the smaller count, and the search returns as soon as it reaches that floor
-    (the adjacency bound of minimum common string partition, Goldstein, Kilman & Zheng
-    2005). Per state, each match still to place at or after linked position i starts a
-    chunk unless it follows a match through one of the reach[i] shared bigrams ending there
-    or later, so a state whose chunks plus the excess of its remaining matches over reach[i]
-    cannot beat the best complete alignment is cut.
+    Links (i, j) and (i', j') conflict exactly when they lie on different diagonals
+    (i' - i != j' - j) and share a position on one side (|i' - i| <= 1 or |j' - j| <= 1),
+    so the conflicts are found through the positions each link uses: i, i + 1, j, j + 1.
+    The conflict graph splits into connected components, each solved by an include-first
+    branch and bound over its links in (i, j) order. Its first complete set is the greedy
+    one; after it each node counts against ``_ALIGN_NODE_BUDGET``, shared by the pair's
+    components, and past the budget the best set found is kept (minimal chunking is
+    NP-hard in general, Goldstein, Kilman & Zheng 2005). A consistent set holds at most
+    one link per i and one per j, so the fewer of the distinct i and distinct j still
+    ahead bounds each state, and a component that reaches that number is done.
 
-    The arguments are the strings' ``_profile`` entries, the second cache level: counts,
-    bigrams and ``later`` depend on one string only, so each string's are built once per
-    matrix however many cells it is in. ``meteor`` tests the pair for a shared token on
-    the first level (``_terms``) before asking for them, so a disjoint pair builds none.
-    Only what depends on both strings is built here: ``need``, the linked types, the link
-    count, ``ref_positions``, the linked positions and their ``joined`` and ``reach``.
+    A pair with more than ``_ALIGN_LINK_CAP`` candidate links keeps, for each hypothesis
+    bigram, only the reference occurrences nearest its position, at least one each. Any
+    consistent subset is still a complete alignment, so the result stays between all
+    single-token chunks and the optimum. At most the larger of the cap and the hypothesis
+    length are kept, and each node is a few bitmask operations over them, so a pair's work
+    no longer grows with the product of its two sides' occurrences.
+
+    The arguments are the strings' ``_profile`` entries, the second cache level: types,
+    repeats and bigram positions depend on one string only, so each string's are built
+    once per matrix however many cells it is in. ``meteor`` tests the pair for a shared
+    token on the first level (``_terms``) before asking for them, so a disjoint pair
+    builds none.
     """
-    hyp, h_count, bigrams, h_bigram_count, later = hyp_profile
-    ref, r_count, _, shared, _ = ref_profile
-    need = {t: min(c, r_count[t]) for t, c in h_count.items() if t in r_count}
-    m = sum(need.values())
-    links, linked = 0, set()
-    for pair, count in h_bigram_count.items():
-        if pair in shared:
-            links += min(count, shared[pair])
-            linked.update(pair)
-    if not linked:
-        return m, m
-    need = {t: need[t] for t in linked}  # the other types' positions are not visited
-    lone = m - sum(need.values())
-    m -= lone  # from here on, the matches the search places
-    floor = m - min(m - 1, links)
-    ref_positions: dict[str, list[int]] = {}
-    for pos, tok in enumerate(ref):
-        if tok in need:
-            ref_positions.setdefault(tok, []).append(pos)
-    kept = [i for i, tok in enumerate(hyp) if tok in need]  # linked positions: the states
-    n = len(kept)
-    # joined[k]: kept[k] directly follows kept[k-1]; reach[k]: shared hypothesis bigrams
-    # ending at kept[k] or later (both ends of a shared bigram are linked)
-    joined, reach = [False] * (n + 1), [0] * (n + 1)
-    for k in range(n - 1, 0, -1):
-        joined[k] = kept[k] == kept[k - 1] + 1
-        reach[k] = reach[k + 1] + (joined[k] and bigrams[kept[k] - 1] in shared)
-    reach[0] = reach[1]
+    hyp_types, hyp_repeats, hyp_starts = hyp_profile
+    ref_types, ref_repeats, ref_starts = ref_profile
+    both = hyp_repeats.keys() & ref_repeats.keys()
+    m = len(hyp_types & ref_types) + sum(map(min, map(hyp_repeats.__getitem__, both),
+                                             map(ref_repeats.__getitem__, both)))
+    shared = hyp_starts.keys() & ref_starts.keys()
+    if sum(len(hyp_starts[b]) * len(ref_starts[b]) for b in shared) <= _ALIGN_LINK_CAP:
+        links = sorted((i, j) for b in shared for i in hyp_starts[b] for j in ref_starts[b])
+    else:
+        keep = max(1, _ALIGN_LINK_CAP // sum(len(hyp_starts[b]) for b in shared))
+        links = sorted((i, j) for b in shared for i in hyp_starts[b]
+                       for j in _nearest(ref_starts[b], i, keep))
 
-    best, nodes = m + 1, 0
-    # frames (i, remaining, used, prev, chunks, todo): a state at linked position kept[i]
-    # (lone positions have none, and a gap before kept[i] resets prev) and its untried
-    # choices, taken from the end of todo: extension to prev + 1, new chunks by ascending
-    # slot, skip (-2, also "no previous slot"); the first frame skips into 0
-    stack = [(-1, m, 0, -2, 0, [-2])]
+    # users[p] of hypothesis position p, users[~q] of reference position q: the links
+    # that use it, by diagonal; two of them on different diagonals conflict
+    users: dict[int, list[tuple[int, int]]] = {}
+    for k, (i, j) in enumerate(links):
+        for key in (i, i + 1, ~j, ~(j + 1)):
+            users.setdefault(key, []).append((i - j, k))
+    conflicts = [0] * len(links)  # bitmasks over link indices
+    for shared_by in users.values():
+        if len(shared_by) > 1:
+            on = {}  # diagonal: bitmask of its links here
+            for d, k in shared_by:
+                on[d] = on.get(d, 0) | 1 << k
+            if len(on) > 1:
+                union = sum(on.values())
+                for d, k in shared_by:
+                    conflicts[k] |= union ^ on[d]
+
+    found, budget, rest = 0, _ALIGN_NODE_BUDGET, 0
+    for k, mask in enumerate(conflicts):
+        if mask:
+            rest |= 1 << k
+        else:  # a link that conflicts with none is in every largest set
+            found += 1
+    while rest:
+        component = frontier = rest & -rest
+        members = []
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            members.append(low.bit_length() - 1)
+            grown = conflicts[members[-1]] & ~component
+            component |= grown
+            frontier |= grown
+        rest ^= component
+        members.sort()
+        most, budget = _most_links(component, members, conflicts, links, budget)
+        found += most
+    return m, m - found
+
+
+def _most_links(component: int, members: list[int], conflicts: list[int], links: list,
+                budget: int) -> tuple[int, int]:
+    """(size of the largest consistent set found among the links of a component, given
+    as a bitmask and as its ascending link indices, and the node budget left)."""
+    # bound[k]: the fewer of the distinct i and distinct j among the members from k on
+    bound, is_, js = {}, set(), set()
+    for k in reversed(members):
+        i, j = links[k]
+        is_.add(i)
+        js.add(j)
+        bound[k] = min(len(is_), len(js))
+    most = bound[members[0]]
+
+    best = -1
+    stack = [(component, 0)]  # (links still open, links taken): exclusions to try
     while stack:
-        i, remaining, used, prev, chunks, todo = stack[-1]
-        pos = todo.pop()
-        if not todo:
-            stack.pop()
-        while True:  # take choice pos, then go on with the first choice of the new state
-            if pos >= 0:
-                remaining, used = remaining - 1, used | 1 << pos
-                chunks += pos != prev + 1
-            i, prev = i + 1, pos if joined[i + 1] else -2
-            excess = remaining - reach[i]  # at least this many matches left start a chunk
-            if chunks + (excess if excess > 0 else 0) >= best or (remaining and i == n):
+        open_, size = stack.pop()
+        while open_:  # each step takes the first open link, then drops what it blocks
+            low = open_ & -open_
+            k = low.bit_length() - 1
+            if size + bound[k] <= best:
                 break
-            if remaining == 0:
-                if chunks == floor:
-                    return m + lone, chunks + lone
-                best = chunks
-                break
-            nodes += best <= m  # counted once a complete alignment exists
-            if nodes > _ALIGN_NODE_BUDGET:
-                break
-
-            tok = hyp[kept[i]]
-            positions = ref_positions[tok]
-            todo = [p for p in reversed(positions) if not used >> p & 1]
-            left = need[tok] - (len(positions) - len(todo))
-            if left == 0:
-                pos = -2
-                continue
-            if prev + 1 in todo:
-                todo.remove(prev + 1)
-                todo.append(prev + 1)
-            if later[kept[i]] >= left:
-                todo.insert(0, -2)
-            pos = todo.pop()
-            if todo:
-                stack.append((i, remaining, used, prev, chunks, todo))
-    return m + lone, best + lone
+            if best >= 0:  # nodes count once a complete set exists
+                budget -= 1
+                if budget < 0:
+                    return best, 0
+            stack.append((open_ ^ low, size))
+            open_ &= ~(conflicts[k] | low)
+            size += 1
+        else:
+            if size > best:
+                best = size
+                if best == most:
+                    break
+    return best, budget
 
 
 def meteor(hypothesis: str, references: list[str]) -> float:

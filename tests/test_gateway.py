@@ -404,6 +404,47 @@ def test_http_timeout_bounds_the_whole_send(monkeypatch):
     assert not thread.is_alive()
 
 
+class _HeaderDripHandler(http.server.BaseHTTPRequestHandler):
+    """Answers a POST with a 200 whose status line and headers arrive one byte every 50 ms."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"choices": [{"message": {"content": "late"}}]}).encode("utf-8")
+        head = (f"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+        try:
+            for pos in range(len(head)):
+                self.wfile.write(head[pos:pos + 1])
+                self.wfile.flush()
+                time.sleep(0.05)
+            self.wfile.write(body)
+        except OSError:  # the client hung up
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_timeout_bounds_the_status_line_and_headers(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _HeaderDripHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        backend = HttpBackend(f"http://{host}:{port}/v1", "m", api_key="", timeout=1.0)
+        start = time.monotonic()
+        with pytest.raises(TransportFailure, match="timeout of 1.0 s"):
+            backend.send(_req())
+        # the header phase alone takes about 3.5 s, each byte well inside the timeout
+        assert time.monotonic() - start < 2.5
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_run_through_http_backend_against_local_server(chat_server, tmp_path, capsys, monkeypatch):
     # claim 0 is rate limited once, claim 1's prediction overflows once, claim 2's fails
     fixture = Path(__file__).parent / "fixtures" / "e2e"

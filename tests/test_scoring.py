@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -217,6 +218,45 @@ def test_meteor_budget_cut_keeps_a_complete_alignment(monkeypatch):
         assert fmean * (1.0 - scoring.GAMMA) - 1e-12 <= got <= oracle + 1e-12, (hyp, ref)
         below_oracle += got < oracle - 1e-12
     assert below_oracle > 0  # the budget did cut some searches short
+
+
+@pytest.mark.parametrize("hyp, ref, expected", [
+    ("a b c", "a b c", (3, 1)),  # a chain (0, 0)/(1, 1): one diagonal, both links kept
+    ("x a b y", "a b z a b", (2, 1)),  # (1, 0) and (1, 3) share i: one of them
+    ("a b c", "b c x a b", (3, 2)),  # (0, 3) and (1, 0) cross at i distance 1
+    ("b c x a b", "a b c", (3, 2)),  # (0, 1) and (3, 0) cross at j distance 1
+    ("a b x y c d", "c d z w a b", (4, 2)),  # (0, 4) and (4, 0): far apart on both sides
+    ("a b c d", "c d x a b", (4, 2)),  # (0, 3) and (2, 0): distance 2 and 3, no conflict
+], ids=["chain", "same_i", "cross_i", "cross_j", "far_apart", "distance_two"])
+def test_link_conflict_rule_by_hand(hyp, ref, expected):
+    # links (i, j) and (i', j') conflict exactly when i' - i != j' - j and
+    # |i' - i| <= 1 or |j' - j| <= 1; chunks = matches - the largest consistent set
+    assert _align(hyp.split(), ref.split()) == expected
+    assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-12)
+
+
+def _function_words(n: int) -> tuple[list[str], list[str]]:
+    rng = random.Random(1)
+    return rng.choices(["the", "of", "a"], k=n), rng.choices(["the", "of", "a"], k=n)
+
+
+@pytest.mark.parametrize("hyp, ref, limit_s", [
+    (*_function_words(300), 10.0),
+    (*_function_words(1000), 10.0),
+    (["the"] * 300, ["the"] * 300, 1.0),
+    (["the"] * 3000, ["the"] * 3000, 1.0),
+], ids=["function_words_300", "function_words_1000", "the_300", "the_3000"])
+def test_alignment_work_is_bounded_on_repetitive_pairs(hyp, ref, limit_s):
+    # the link cap and the node budget bound every pair's work; each limit is
+    # at least 20x the time measured on a 2-vCPU host under -X dev
+    start = time.process_time()
+    m, chunks = _align(hyp, ref)
+    elapsed = time.process_time() - start
+    assert m == sum((Counter(hyp) & Counter(ref)).values())
+    assert chunk_floor(hyp, ref) <= chunks <= m
+    if set(hyp) == {"the"}:  # the cap keeps each bigram's own position: one diagonal
+        assert chunks == 1
+    assert elapsed < limit_s
 
 
 @settings(max_examples=60)
