@@ -11,11 +11,10 @@ so is every term of the sum under the finite k1 >= 0 and 0 <= b <= 1 that
 
 A token is a maximal run of alphanumeric characters, lowercased; underscores
 and every other character separate tokens. ``tokenize`` returns ``str``
-tokens, which queries, the index's terms and METEOR use. ``build_index``
-scans an ASCII passage as bytes instead: ``bytes.translate`` is a plain
-lookup in a 256-byte table, while ``str.translate`` looks up each character
-in a dict, so the bytes scan tokenizes a store in about 60% of the time.
-The byte table is the ASCII table encoded, one rule in two encodings, and
+tokens, which queries, the index's terms and METEOR use; ASCII text takes
+one 256-byte table, as ``bytes.translate`` is a plain lookup per byte while
+``str.translate`` looks up each character in a dict. ``build_index`` scans
+an ASCII passage's bytes with that table and keeps its tokens as bytes, so
 the ASCII query terms are matched encoded. A non-ASCII passage goes through
 ``tokenize`` and is matched against every term, ASCII ones included.
 
@@ -62,25 +61,22 @@ from .corpus import DocRef, KnowledgeStore
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # the same rule on ASCII text, where [^\W_] is [A-Za-z0-9] and lower() maps
-# only A-Z: letters lowercased, digits kept, every other code point below 128
-# (underscore and control characters included) a space
-_ASCII_TABLE = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " "
-                              for c in range(128)})
-
-# that table as bytes, for the passages build_index scans as bytes; an ASCII
-# passage holds no byte above 127, so the padding is never read
-_BYTE_TABLE = bytes(range(128)).decode().translate(_ASCII_TABLE).encode().ljust(256)
+# only A-Z: a byte table with letters lowercased, digits kept and every other
+# byte below 128 (underscore and control characters included) a space. ASCII
+# text holds no byte above 127, so the padding is never read
+_BYTE_TABLE = bytes(ord(chr(c).lower()) if chr(c).isalnum() else 32
+                    for c in range(128)).ljust(256)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on every maximal run of non-alphanumeric characters.
 
-    ASCII text takes a translate-and-split path that gives the regex's tokens
-    at a fraction of its cost; any other text is lowered whole and split by
-    the regex.
+    ASCII text is encoded, translated through the byte table and split,
+    which gives the regex's tokens at a fraction of its cost; any other text
+    is lowered whole and split by the regex.
     """
     if text.isascii():
-        return text.translate(_ASCII_TABLE).split()
+        return text.encode().translate(_BYTE_TABLE).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 

@@ -74,15 +74,17 @@ def cmd_run(args) -> int:
         return 1
 
     gateway = _build_gateway(cfg)
-    completed = []
-    try:
-        reports = run_batch(claims, gateway, cfg, completed=completed)
+    reports, interrupted = [], False
+    try:  # a loop, not sorted(): on Ctrl-C the reports already yielded are kept
+        for report in run_batch(claims, gateway, cfg):
+            reports.append(report)
     except KeyboardInterrupt:
-        completed.sort(key=lambda r: r.claim_id)
-        write_predictions(cfg.output_path, completed)
-        _log(f"interrupted: flushed {len(completed)} completed reports to {cfg.output_path}")
-        return 130
+        interrupted = True
+    reports.sort(key=lambda r: r.claim_id)
     write_predictions(cfg.output_path, reports)
+    if interrupted:
+        _log(f"interrupted: flushed {len(reports)} completed reports to {cfg.output_path}")
+        return 130
 
     truncated = sum(r.truncated for r in reports)
     fallbacks = sum(r.parse_fallbacks for r in reports)
@@ -136,6 +138,8 @@ def cmd_inspect(args) -> int:
     store = load_store(store_path, record.claim_id)
     library = PromptLibrary.load(cfg.prompt_overrides)
 
+    # JSON decoding can leave a lone surrogate in any string; it prints escaped
+    sys.stdout.reconfigure(errors="backslashreplace")
     print(f"claim {record.claim_id}: {record.text}")
     if args.no_llm:
         keypoints = KeyPointSet()

@@ -125,7 +125,9 @@ def write_json(path, data) -> None:
     whole and no temp file behind."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # a lone surrogate, which JSON decoding can give, is written as its
+        # JSON escape and so reads back as the same string
+        with open(tmp, "w", encoding="utf-8", errors="backslashreplace") as fh:
             json.dump(data, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
         os.replace(tmp, path)

@@ -14,6 +14,7 @@ import queue
 import re
 import threading
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .bm25 import build_index, retrieve
 from .corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, EvidenceItem, KnowledgeStore,
@@ -246,14 +247,10 @@ def store_path_for(store_dir: str, claim_id: int) -> str:
     return os.path.join(store_dir, f"{claim_id}.json")
 
 
-def run_batch(claims: list[ClaimRecord], gateway, cfg,
-              completed: "list[VerdictReport] | None" = None) -> list[VerdictReport]:
-    """Process claims on a few worker threads; results come back in claim
-    order regardless of completion order, so runs are reproducible.
-
-    When a ``completed`` list is given, every finished report is appended to
-    it as it arrives, so an interrupted run can still flush what it has.
-    """
+def run_batch(claims: list[ClaimRecord], gateway, cfg) -> Iterator[VerdictReport]:
+    """Process claims on a few worker threads, yielding each claim's report as
+    its worker finishes it, in completion order: ``run`` sorts them by claim
+    id, so its predictions file does not depend on the order."""
     library = PromptLibrary.load(cfg.prompt_overrides)
 
     def work(record: ClaimRecord) -> VerdictReport:
@@ -267,35 +264,30 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg,
     # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
     # for claims still in flight (an HTTP call may take minutes)
     todo: queue.SimpleQueue = queue.SimpleQueue()
-    for pos in range(len(claims)):
-        todo.put(pos)
+    for record in claims:
+        todo.put(record)
     finished: queue.SimpleQueue = queue.SimpleQueue()
     stop = threading.Event()
 
     def worker() -> None:
         while not stop.is_set():
             try:
-                pos = todo.get_nowait()
+                record = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                finished.put((pos, work(claims[pos]), None))
+                finished.put((work(record), None))
             except BaseException as exc:
-                finished.put((pos, None, exc))
+                finished.put((None, exc))
                 return
 
     for _ in range(min(cfg.workers, len(claims))):
         threading.Thread(target=worker, daemon=True).start()
-    results: list["VerdictReport | None"] = [None] * len(claims)
     try:
         for _ in claims:
-            pos, report, exc = finished.get()
+            report, exc = finished.get()
             if exc is not None:
                 raise exc
-            results[pos] = report
-            if completed is not None:
-                completed.append(report)
-    except BaseException:
+            yield report
+    finally:
         stop.set()  # claims not yet started are dropped, those in flight abandoned
-        raise
-    return results  # type: ignore[return-value]

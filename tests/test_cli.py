@@ -12,7 +12,7 @@ import pytest
 import zsl_kep
 from zsl_kep.cli import main
 from zsl_kep.config import RunConfig
-from zsl_kep.corpus import load_claims
+from zsl_kep.corpus import load_claims, load_predictions, load_store
 from zsl_kep.keypoints import PromptLibrary
 from zsl_kep.llm_gateway import MockBackend
 from zsl_kep.pipeline import build_prediction_prompt
@@ -357,6 +357,26 @@ def test_run_interrupt_exits_without_waiting_for_claims_in_flight(tmp_path):
     assert proc.returncode == 130, proc.stderr
     assert "interrupted: flushed 0 completed reports" in proc.stderr
     assert exited - float(proc.stdout.split()[0]) < 2.0
+
+
+def test_lone_surrogate_in_a_store_costs_nothing(tmp_path, capsys):
+    # JSON decodes "\ud800" to a lone surrogate, which UTF-8 cannot encode
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    store_path = fixture / "stores" / "0.json"
+    text = store_path.read_text(encoding="utf-8")
+    store_path.write_text(text.replace("opened to rail", "opened to \\ud800 rail", 1),
+                          encoding="utf-8")
+    passage = load_store(str(store_path), 0).entries[0].passages[1]
+    assert "\ud800" in passage
+    out = tmp_path / "pred.json"
+    assert main(["run", "--config", str(fixture / "config.json"), "--output", str(out)]) == 0
+    assert load_predictions(str(out))[0].evidence[0].scraped_text == passage
+    assert main(["score", "--pred", str(out), "--gold", str(fixture / "claims.json")]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--config", str(fixture / "config.json"), "--claim", "0",
+                 "--no-llm"]) == 0
+    assert "opened to \\ud800 rail" in capsys.readouterr().out
 
 
 def test_score_self_and_report(tmp_path, capsys):

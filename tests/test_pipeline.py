@@ -505,7 +505,9 @@ def test_run_batch_blank_claim_costs_only_itself(tmp_path):
     prediction = GOOD_RESPONSE.replace("3_1", "0_0")
     backend = MockBackend({0: ["no key points for a blank claim", prediction],
                            1: ["PRIMITIVE:\n1. beta", prediction]})
-    reports = run_batch(claims, Gateway(backend), RunConfig(store_dir=str(store_dir), workers=2))
+    reports = sorted(run_batch(claims, Gateway(backend),
+                               RunConfig(store_dir=str(store_dir), workers=2)),
+                     key=lambda r: r.claim_id)
     assert [(r.claim_id, r.verdict, r.failed) for r in reports] == [
         (0, VerdictLabel.SUPPORTED, False), (1, VerdictLabel.SUPPORTED, False)]
     assert reports[0].parse_fallbacks == 1  # the key points only
@@ -544,7 +546,7 @@ def test_run_batch_interrupt_does_not_wait_for_claims_in_flight(tmp_path, releas
 
     def batch():
         try:
-            run_batch(claims, _Gateway(), cfg)
+            list(run_batch(claims, _Gateway(), cfg))
         except KeyboardInterrupt:
             outcome.append("interrupted")
 
@@ -555,7 +557,7 @@ def test_run_batch_interrupt_does_not_wait_for_claims_in_flight(tmp_path, releas
     assert outcome == ["interrupted"]
 
 
-def test_run_batch_many_workers_keeps_claim_order(tmp_path):
+def test_run_batch_many_workers_yields_each_claim_once(tmp_path):
     n = 120
     store_dir = tmp_path / "stores"
     store_dir.mkdir()
@@ -567,22 +569,45 @@ def test_run_batch_many_workers_keeps_claim_order(tmp_path):
     script = {cid: ["PRIMITIVE:\n1. alpha", GOOD_RESPONSE.replace("3_1", "0_0")]
               for cid in range(n)}
     backend = MockBackend(script)
-    completed, outcome = [], []
+    outcome = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: outcome.append(run_batch(
-            claims, Gateway(backend), RunConfig(store_dir=str(store_dir), workers=16),
-            completed=completed)), daemon=True)
+        caller = threading.Thread(target=lambda: outcome.append(list(run_batch(
+            claims, Gateway(backend), RunConfig(store_dir=str(store_dir), workers=16)))),
+            daemon=True)
         caller.start()
         caller.join(60)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive() and len(outcome) == 1
-    assert [r.claim_id for r in outcome[0]] == list(range(n))
+    assert sorted(r.claim_id for r in outcome[0]) == list(range(n))
     assert all(r.verdict is VerdictLabel.SUPPORTED for r in outcome[0])
-    assert sorted(r.claim_id for r in completed) == list(range(n))
     assert all(len(backend.calls_for(cid)) == 2 for cid in range(n))
+
+
+def test_run_batch_yields_each_report_as_its_claim_finishes(tmp_path):
+    store_dir = tmp_path / "stores"
+    store_dir.mkdir()
+    for cid in (0, 1):
+        (store_dir / f"{cid}.json").write_text(
+            json.dumps({"url": "u", "url2text": ["alpha beta"]}) + "\n", encoding="utf-8")
+    claims = [ClaimRecord(claim_id=0, text="alpha"), ClaimRecord(claim_id=1, text="beta")]
+    prediction = GOOD_RESPONSE.replace("3_1", "0_0")
+    inner = Gateway(MockBackend({cid: ["PRIMITIVE:\n1. alpha", prediction] for cid in (0, 1)}))
+    claim_1_yielded = threading.Event()
+
+    class _Gateway:
+        def complete(self, request, claim_id=None):
+            if claim_id == 0:  # claim 0 cannot finish before claim 1's report is out
+                assert claim_1_yielded.wait(30)
+            return inner.complete(request, claim_id)
+
+    batch = run_batch(claims, _Gateway(), RunConfig(store_dir=str(store_dir), workers=2))
+    first = next(batch)
+    claim_1_yielded.set()
+    assert first.claim_id == 1
+    assert [r.claim_id for r in batch] == [0]
 
 
 def test_run_batch_raises_a_worker_error(tmp_path):
@@ -598,4 +623,4 @@ def test_run_batch_raises_a_worker_error(tmp_path):
             raise RuntimeError(f"bug in claim {claim_id}")
 
     with pytest.raises(RuntimeError, match="bug in claim"):
-        run_batch(claims, _Gateway(), RunConfig(store_dir=str(store_dir), workers=2))
+        list(run_batch(claims, _Gateway(), RunConfig(store_dir=str(store_dir), workers=2)))
