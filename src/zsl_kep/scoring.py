@@ -14,10 +14,10 @@ bigram; ``_alignment`` searches the link sets, exactly unless a pair exceeds
 its node budget or its link cap, and then keeps a complete alignment.
 
 Predicted evidence strings are matched to gold ones with a max-sum assignment
-(exact subset search, exponential only in the smaller side, which predictions
-cap at 4), and the matched similarity mass is normalized by the number of gold
-strings. A claim counts toward the conditioned score only when its label is
-right AND its question+answer evidence score reaches the 0.25 gate.
+(exact subset search, exponential in the predicted strings, which it refuses
+past MAX_EVIDENCE = 4), and the matched similarity mass is normalized by the
+number of gold strings. A claim counts toward the conditioned score only when
+its label is right AND its question+answer score reaches the 0.25 gate.
 
 A matrix pairs every predicted string with every gold variant, so a string
 meets several others; what METEOR needs of one string alone is computed once
@@ -239,13 +239,16 @@ def meteor(hypothesis: str, references: list[str]) -> float:
 def hungarian_max(matrix) -> list[tuple[int, int]]:
     """Matching of size min(rows, cols) maximizing the sum of entries.
 
-    Exact memoized search over column subsets, exponential only in the
-    smaller side (at most MAX_EVIDENCE = 4 rows on the CLI path). Ties between
-    optimal matchings (within 1e-9 of the optimum) break toward the
-    lexicographically smallest (row, col) pair sequence.
+    Exact memoized search over column subsets, exponential in the rows, so
+    more than MAX_EVIDENCE = 4 rows (predicted strings) raise ValueError; each
+    row tries only its `size` best columns. Ties between optimal matchings
+    (within 1e-9 of the optimum) break toward the lexicographically smallest
+    (row, col) pair sequence.
     """
     matrix = [list(row) for row in matrix]
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    if n_rows > MAX_EVIDENCE:
+        raise ValueError(f"{n_rows} predicted strings, more than {MAX_EVIDENCE}")
     for row in matrix:
         if len(row) != n_cols:
             raise ValueError("matrix rows must all have the same length")
@@ -271,12 +274,6 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
                 value = max(value, matrix[i][j] + best(i + 1, used | 1 << j, left - 1))
         return value
 
-    if n_rows > n_cols:  # fill every 64th row bottom-up: no call recurses past 64 rows
-        for i in range(n_rows - 64, 0, -64):
-            for used in range(1 << n_cols):
-                if used.bit_count() <= i:  # masks reachable at row i
-                    best(i, used, size - used.bit_count())
-
     # each row takes the first free column that still completes an optimum
     target = best(0, 0, size)
     tol = 1e-9 * max(1.0, abs(target))
@@ -300,15 +297,13 @@ def evidence_score(pred_strings: list[str], gold_strings) -> float:
     Each gold entry may be one string or a list of acceptable variants (any
     variant satisfies the match). Returns the assignment's correctly rounded
     sum (``fsum``) / number of gold entries; an empty prediction list scores
-    0. No gold entries, or more than MAX_EVIDENCE predicted strings (which
-    bounds the assignment cost), raise ValueError.
+    0. No gold entries raise ValueError, and so, from ``hungarian_max``, do
+    more than MAX_EVIDENCE predicted strings.
     """
     _terms.cache_clear()  # no string's work outlives its matrix
     _profile.cache_clear()
     if not gold_strings:
         raise ValueError("evidence_score needs at least one gold string")
-    if len(pred_strings) > MAX_EVIDENCE:
-        raise ValueError(f"{len(pred_strings)} predicted strings, more than {MAX_EVIDENCE}")
     gold_variants = [[g] if isinstance(g, str) else list(g) for g in gold_strings]
     if not pred_strings:
         return 0.0

@@ -82,7 +82,7 @@ def _small_pairs(min_size):
 @given(st.one_of(
     st.tuples(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=7),
               st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=7)),
-    _small_pairs(1),  # the search returns early wherever an alignment reaches the chunk floor
+    _small_pairs(1),  # repeated bigrams: conflict components of up to a few dozen links
 ))
 def test_meteor_equals_oracle_on_repetition_heavy_pairs(pair):
     hyp, ref = " ".join(pair[0]), " ".join(pair[1])
@@ -93,8 +93,8 @@ def test_meteor_equals_oracle_on_repetition_heavy_pairs(pair):
 @given(st.lists(st.sampled_from(["the", "of", "cat", "sat", "mat", "dog"]), max_size=8),
        st.lists(st.sampled_from(["the", "of", "cat", "sat", "mat", "dog"]), max_size=8))
 def test_meteor_equals_oracle_on_mixed_pairs(hyp_tokens, ref_tokens):
-    # with more types than the a/b/c property, many of them sit in no bigram
-    # the reference shares and are counted without search
+    # with more types than the a/b/c property, most pairs share no bigram and
+    # the rest have conflict components of a few links
     hyp, ref = " ".join(hyp_tokens), " ".join(ref_tokens)
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
 
@@ -152,8 +152,10 @@ def test_meteor_budget_is_spent_on_linked_positions_only(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(_small_pairs(5))  # longer pairs: the floor is loose on about a third of them
 def test_meteor_equals_oracle_where_the_chunk_floor_is_not_tight(pair):
-    # no early return here: the search ends only when the per-state bound has
-    # cut or finished every branch
+    # the floor counts shared bigrams, not a consistent link set: where it is
+    # not tight, a component may never reach its distinct-position bound and
+    # stop there, so its search ends only once the per-state bound has cut or
+    # finished every branch
     assume(chunk_floor(*pair) < _align(*pair)[1])
     hyp, ref = " ".join(pair[0]), " ".join(pair[1])
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-9)
@@ -187,9 +189,9 @@ _REPEATED = random.Random(7).choices(_DISTINCT[:300], k=1200)
     (_DISTINCT, _blocks_shuffled(_DISTINCT, 3)),
 ], ids=["identical_1200", "shuffled_1000", "blocks_shuffled_1200"])
 def test_meteor_long_identical_pair(hyp, ref):
-    # the search keeps its state on an explicit stack, so length is bounded
-    # by the node budget only: its first descent takes one step per token,
-    # which a recursive search pays for with one interpreter frame each
+    # nearly every link conflicts with none and is counted without search
+    # (identical: 1,211 links, 5 small components; blocks: 801 links, no
+    # conflict; shuffled: no shared bigram), so length costs no search
     if hyp == ref:
         chunks = 1
     else:  # distinct words force the alignment: a chunk starts at every break
@@ -316,7 +318,7 @@ def test_hungarian_negative_entries():
 def test_hungarian_matches_brute_force_random():
     rng = random.Random(3)
     for _ in range(60):
-        rows = rng.randint(1, 5)
+        rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         matrix = [[rng.uniform(-2, 2) for _ in range(cols)] for _ in range(rows)]
         pairs = hungarian_max(matrix)
@@ -334,23 +336,39 @@ def test_hungarian_lexicographic_tie_break():
     rng = random.Random(5)
     shapes = ([(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(40)]
               + [(rng.randint(1, 4), rng.randint(5, 8)) for _ in range(40)]
-              + [(rng.randint(5, 8), rng.randint(1, 3)) for _ in range(40)])
+              + [(rows, rng.randint(1, rows - 1)) for rows in rng.choices(range(2, 5), k=40)])
     for rows, cols in shapes:
         matrix = [[float(rng.randint(0, 2)) for _ in range(cols)] for _ in range(rows)]
         _, expected = brute_force_assignment(matrix)
         assert hungarian_max(matrix) == expected
-    # tall matrices far deeper than the recursion limit, planted optimum
-    tall = [[0.0, 0.0] for _ in range(1500)]
-    tall[1400][0] = tall[1499][1] = 1.0
-    assert hungarian_max(tall) == [(1400, 0), (1499, 1)]
-    tall = [[0.0, 0.0, 0.0] for _ in range(2000)]
-    tall[1400][0] = tall[1999][2] = 1.0
-    assert hungarian_max(tall) == [(0, 1), (1400, 0), (1999, 2)]
+    # more rows than MAX_EVIDENCE are rejected, however few the columns
+    for rows, cols in [(MAX_EVIDENCE + 1, 2), (1500, 2), (2000, 3)]:
+        message = f"^{rows} predicted strings, more than {MAX_EVIDENCE}$"
+        with pytest.raises(ValueError, match=message):
+            hungarian_max([[0.0] * cols for _ in range(rows)])
 
 
 def test_hungarian_dominant_permutation():
     matrix = [[10, 0, 0], [0, 10, 0], [0, 0, 10]]
     assert hungarian_max(matrix) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_hungarian_work_is_bounded_on_wide_matrices():
+    # the gold file sets the column count; each row tries only its 4 best
+    # columns, so 4 x 500 stays cheap, where a search over every column subset
+    # of up to 4 would not end. All rows share their best column, 300, and
+    # row 3, whose second best is the worst, takes it. The limit is over 10x
+    # the time measured on a 2-vCPU host under -X dev
+    rng = random.Random(9)
+    matrix = [[rng.uniform(0, 0.5) for _ in range(500)] for _ in range(MAX_EVIDENCE)]
+    for i, j in enumerate([450, 350, 150, 50]):
+        matrix[i][j] = 0.9 - 0.1 * i
+        matrix[i][300] = 1.0
+    start = time.process_time()
+    pairs = hungarian_max(matrix)
+    elapsed = time.process_time() - start
+    assert pairs == [(0, 450), (1, 350), (2, 150), (3, 300)]
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------- evidence_score
