@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig
 from .corpus import (MalformedInput, load_claims, load_predictions, load_store, write_json,
                      write_predictions)
 from .keypoints import KeyPointSet, PromptLibrary, build_keypoint_prompt, make_keypoints
-from .llm_gateway import Gateway, HttpBackend, MockBackend
+from .llm_gateway import ContextOverflow, Gateway, HttpBackend, MockBackend, RateLimited
 from .pipeline import build_unified_string, run_batch, run_retrieval, store_path_for
 from .scoring import score_run
 
@@ -73,10 +73,9 @@ def cmd_run(args) -> int:
         _log(f"error: output {cfg.output_path} is one of the run's inputs")
         return 1
 
-    gateway = _build_gateway(cfg)
     reports, interrupted = [], False
     try:  # a loop, not sorted(): on Ctrl-C the reports already yielded are kept
-        for report in run_batch(claims, gateway, cfg):
+        for report in run_batch(claims, _build_gateway(cfg), cfg):
             reports.append(report)
     except KeyboardInterrupt:
         interrupted = True
@@ -89,12 +88,13 @@ def cmd_run(args) -> int:
     truncated = sum(r.truncated for r in reports)
     fallbacks = sum(r.parse_fallbacks for r in reports)
     failed = sum(r.failed for r in reports)
+    gateway_failures = [kind for r in reports for kind in r.gateway_failures]
     _log(f"claims processed: {len(reports)}")
     _log(f"truncated runs: {truncated}")
     _log(f"parse fallbacks: {fallbacks}")
     _log(f"failed claims: {failed}")
-    _log(f"gateway overflows: {gateway.overflow_count}")
-    _log(f"gateway rate limits: {gateway.rate_limit_count}")
+    _log(f"gateway overflows: {gateway_failures.count(ContextOverflow.kind)}")
+    _log(f"gateway rate limits: {gateway_failures.count(RateLimited.kind)}")
     _log(f"wrote predictions to {cfg.output_path}")
     return 2 if failed else 0
 

@@ -103,9 +103,10 @@ UrlEntry = namedtuple("UrlEntry", "url passages")
 KnowledgeStore = namedtuple("KnowledgeStore", "claim_id entries", defaults=((),))
 EvidenceItem = namedtuple("EvidenceItem",
                           "question answer answer_type citation url scraped_text")
-# truncated, parse_fallbacks and failed say what the run degraded; not written to predictions
+# the last four fields say what the run degraded; write_predictions leaves them out
 VerdictReport = namedtuple("VerdictReport", "claim_id claim evidence justification verdict "
-                           "truncated parse_fallbacks failed", defaults=(False, 0, False))
+                           "truncated parse_fallbacks failed gateway_failures",
+                           defaults=(False, 0, False, ()))
 
 
 def read_json(path):

@@ -48,7 +48,8 @@ class PromptLibrary(namedtuple("PromptLibrary", TEMPLATE_NAMES)):
         return cls(**texts)
 
 
-class KeyPointSet(namedtuple("KeyPointSet", "primitives combined", defaults=((), ()))):
+class KeyPointSet(namedtuple("KeyPointSet", "primitives combined gateway_failures",
+                             defaults=((), (), ()))):
     __slots__ = ()
 
     @property
@@ -95,16 +96,17 @@ def make_keypoints(gateway, claim: str, cfg, library: PromptLibrary,
                    claim_id: "int | None" = None) -> tuple[KeyPointSet, int]:
     """Build, send and parse the key point prompt at the run config's settings.
 
-    Returns (key point set, fallback count). Never raises: a gateway failure
-    or a reply without primitives yields the empty set, which downstream means
-    retrieval runs on the claim alone, and counts one fallback.
+    Returns (key point set, fallback count); the set carries the call's gateway failures.
+    Never raises: a gateway failure or a reply without primitives yields the empty set,
+    which downstream means retrieval runs on the claim alone, and counts one fallback.
     """
     system, user = build_keypoint_prompt(claim, library)
     request = ChatRequest(system_message=system, user_message=user,
                           temperature=cfg.temperature, top_p=cfg.top_p,
                           max_new_tokens=cfg.max_tokens_keypoints)
     try:
-        keypoints = parse_keypoints(gateway.complete(request, claim_id).text)
-    except GatewayError:
-        keypoints = KeyPointSet()
+        response = gateway.complete(request, claim_id)
+    except GatewayError as exc:
+        return KeyPointSet(gateway_failures=exc.failures), 1
+    keypoints = parse_keypoints(response.text)._replace(gateway_failures=response.failures)
     return keypoints, 0 if keypoints.primitives else 1

@@ -4,7 +4,8 @@ Two backends share one interface: an OpenAI-compatible HTTP endpoint and a
 scripted mock for offline runs and tests. The gateway in front of them retries
 rate limits with exponential backoff but always surfaces context overflows —
 recovering from those (by shrinking the prompt) is the pipeline's job, and the
-two failure kinds must stay distinguishable for that to work.
+two failure kinds must stay distinguishable for that to work. Each call returns
+the kinds of its failed attempts, and the caller carries them: no counter is kept.
 """
 
 import io
@@ -20,6 +21,7 @@ from .corpus import MalformedInput, read_json
 
 class GatewayError(Exception):
     kind = "transport"
+    failures = ()  # set by Gateway.complete: the kinds of its failed attempts, this one last
 
     def __init__(self, detail: str = ""):
         super().__init__(detail)
@@ -88,8 +90,8 @@ class ChatRequest:
         self.max_new_tokens = max_new_tokens
 
 
-# finish_reason: stop | length | error
-ChatResponse = namedtuple("ChatResponse", "text finish_reason", defaults=("stop",))
+# finish_reason: stop | length | error; failures: the kinds of the attempts that failed before it
+ChatResponse = namedtuple("ChatResponse", "text finish_reason failures", defaults=("stop", ()))
 
 
 class MockBackend:
@@ -282,7 +284,8 @@ class Gateway:
     backoff, no wait over ``BACKOFF_MAX_S``, up to ``max_attempts`` total sends; context
     overflows (including ones raised preemptively by the client-side prompt budget) go
     straight to the caller, and a reply whose text is not a string is a
-    ``MalformedReply``. Counters make both visible for diagnostics."""
+    ``MalformedReply``. The ``kind`` of each failed attempt, a budget overflow included,
+    goes in order into the reply's ``failures``, or into those of the error that ends it."""
 
     def __init__(self, backend, max_attempts: int = 5, prompt_budget: int = 8000,
                  sleep=time.sleep):
@@ -290,36 +293,23 @@ class Gateway:
         self.max_attempts = max_attempts
         self.prompt_budget = prompt_budget  # 0 turns the guard off
         self._sleep = sleep
-        self._lock = threading.Lock()
-        self.overflow_count = 0
-        self.rate_limit_count = 0
 
     def complete(self, request: ChatRequest, claim_id: "int | None" = None) -> ChatResponse:
-        if self.prompt_budget:
-            estimate = len(request.system_message.split()) + len(request.user_message.split())
-            if estimate > self.prompt_budget:
-                with self._lock:
-                    self.overflow_count += 1
-                raise ContextOverflow(
-                    f"prompt estimate {estimate} tokens exceeds budget {self.prompt_budget}"
-                )
-
-        failures, wait = 0, BACKOFF_BASE_S
+        estimate = len(request.system_message.split()) + len(request.user_message.split())
+        failures, wait = [], BACKOFF_BASE_S
         while True:
             try:
+                if self.prompt_budget and estimate > self.prompt_budget:  # nothing is sent
+                    raise ContextOverflow(
+                        f"prompt estimate {estimate} tokens exceeds budget {self.prompt_budget}")
                 response = self.backend.send(request, claim_id)
                 if isinstance(response.text, str):
-                    return response
+                    return response._replace(failures=tuple(failures))
                 raise MalformedReply(f"reply text is {type(response.text).__name__}, not a string")
-            except RateLimited:
-                with self._lock:
-                    self.rate_limit_count += 1
-                failures += 1
-                if failures >= self.max_attempts:
+            except GatewayError as exc:
+                failures.append(exc.kind)
+                if not isinstance(exc, RateLimited) or len(failures) >= self.max_attempts:
+                    exc.failures = tuple(failures)
                     raise
                 self._sleep(wait)
                 wait = min(2 * wait, BACKOFF_MAX_S)
-            except ContextOverflow:
-                with self._lock:
-                    self.overflow_count += 1
-                raise

@@ -5,8 +5,8 @@ Every claim always ends in a VerdictReport. Parse problems degrade field by
 field, and an irrecoverable gateway failure or a malformed or unreadable
 knowledge store produces a Not Enough Evidence report for that claim alone,
 rather than no report at all. Each stage returns what it degraded, and the
-report carries it: ``truncated``, ``parse_fallbacks`` (key points and
-prediction fields together, added up in ``run_claim``) and ``failed``.
+report carries it: ``truncated``, ``failed``, ``parse_fallbacks`` and
+``gateway_failures`` (key points and prediction together, via ``run_claim``).
 """
 
 import os
@@ -178,8 +178,8 @@ def parse_prediction(response: str, store: KnowledgeStore, groups: list[Retrieva
     return evidence, justification, verdict, fallbacks
 
 
-def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
-                    store: KnowledgeStore, detail: str, truncated: bool = False) -> VerdictReport:
+def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup], store: KnowledgeStore,
+                    detail: str, truncated: bool = False, gateway_failures=()) -> VerdictReport:
     ref, url, text = _top_doc(groups, store)
     placeholder = EvidenceItem(question="", answer="", answer_type=AnswerType.UNANSWERABLE,
                                citation=ref, url=url, scraped_text=text)
@@ -191,18 +191,19 @@ def _failure_report(claim_id: int, claim: str, groups: list[RetrievalGroup],
         verdict=VerdictLabel.NOT_ENOUGH_EVIDENCE,
         truncated=truncated,
         failed=True,
+        gateway_failures=gateway_failures,
     )
 
 
 def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
                        store: KnowledgeStore, cfg, *, claim_id: int = 0,
                        library: PromptLibrary) -> VerdictReport:
-    """Send the prediction prompt, shrinking the document set on context
-    overflow: first to the configured truncation caps, then by halving them
-    (floor one document per group) until the prompt fits or nothing is left
-    to cut. The report is ``truncated`` when any cap was applied."""
+    """Send the prediction prompt, shrinking the document set on context overflow: first to
+    the configured truncation caps, then by halving them (floor one document per group) until
+    the prompt fits or nothing is left to cut. The report is ``truncated`` when any cap was
+    applied, and its ``gateway_failures`` are those of every call, in order."""
     caps: "tuple[int, int] | None" = None
-    current = groups
+    current, failures = groups, ()
     while True:
         unified = build_unified_string(current)
         system, user = build_prediction_prompt(claim, unified, library)
@@ -213,34 +214,38 @@ def predict_with_retry(gateway, groups: list[RetrievalGroup], claim: str,
             response = gateway.complete(request, claim_id)
             break
         except ContextOverflow as exc:
+            failures += exc.failures
             if caps is None:
                 caps = (cfg.truncate_claim, cfg.truncate_keypoint)
             elif caps == (1, 1):
                 return _failure_report(claim_id, claim, current, store,
                                        f"context overflow persisted at minimum caps ({exc.detail})",
-                                       truncated=True)
+                                       truncated=True, gateway_failures=failures)
             else:
                 caps = (max(1, caps[0] // 2), max(1, caps[1] // 2))
             current = _truncate_groups(groups, *caps)
         except GatewayError as exc:
-            return _failure_report(claim_id, claim, current, store,
-                                   f"{exc.kind}: {exc.detail}", truncated=caps is not None)
+            return _failure_report(claim_id, claim, current, store, f"{exc.kind}: {exc.detail}",
+                                   truncated=caps is not None,
+                                   gateway_failures=failures + exc.failures)
 
     evidence, justification, verdict, fallbacks = parse_prediction(response.text, store, current)
     return VerdictReport(claim_id=claim_id, claim=claim, evidence=evidence,
                          justification=justification, verdict=verdict,
-                         truncated=caps is not None, parse_fallbacks=fallbacks)
+                         truncated=caps is not None, parse_fallbacks=fallbacks,
+                         gateway_failures=failures + response.failures)
 
 
 def run_claim(record: ClaimRecord, store: KnowledgeStore, gateway, cfg,
               library: PromptLibrary) -> VerdictReport:
     """Full pipeline for one claim: key points, index of their terms, retrieval,
-    prediction. The report counts the key point fallbacks with its own."""
+    prediction. The report adds the key point fallbacks and gateway failures to its own."""
     keypoints, fallbacks = make_keypoints(gateway, record.text, cfg, library, record.claim_id)
     groups = run_retrieval(store, keypoints, record.text, cfg)
     report = predict_with_retry(gateway, groups, record.text, store, cfg,
                                 claim_id=record.claim_id, library=library)
-    return report._replace(parse_fallbacks=report.parse_fallbacks + fallbacks)
+    return report._replace(parse_fallbacks=report.parse_fallbacks + fallbacks,
+                           gateway_failures=keypoints.gateway_failures + report.gateway_failures)
 
 
 def store_path_for(store_dir: str, claim_id: int) -> str:

@@ -260,6 +260,7 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
     # some optimal completion gives row i one of its `size` best columns:
     # the other size-1 pairs can block at most size-1 of them
     top = [sorted(range(n_cols), key=row.__getitem__, reverse=True)[:size] for row in matrix]
+    reach = set().union(*top)  # best reads no other column of `used`
 
     @functools.cache
     def best(i: int, used: int, left: int) -> float:
@@ -276,15 +277,15 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
 
     # each row takes the first free column that still completes an optimum
     target = best(0, 0, size)
-    tol = 1e-9 * max(1.0, abs(target))
+    cutoff = target - 1e-9 * max(1.0, abs(target))
     chosen, used, fixed = [], 0, 0.0
     for i in range(n_rows):
         left = size - len(chosen)
         if left == 0:
             break
         for j in range(n_cols):
-            if not used >> j & 1 and (fixed + matrix[i][j] + best(i + 1, used | 1 << j, left - 1)
-                                      >= target - tol):
+            rest = used | 1 << j if j in reach else used  # the same value, and no new memo key
+            if not used >> j & 1 and fixed + matrix[i][j] + best(i + 1, rest, left - 1) >= cutoff:
                 chosen.append((i, j))
                 used, fixed = used | 1 << j, fixed + matrix[i][j]
                 break

@@ -14,8 +14,8 @@ from zsl_kep.cli import main
 from zsl_kep.config import RunConfig
 from zsl_kep.corpus import load_claims, load_predictions, load_store
 from zsl_kep.keypoints import PromptLibrary
-from zsl_kep.llm_gateway import MockBackend
-from zsl_kep.pipeline import build_prediction_prompt
+from zsl_kep.llm_gateway import Gateway, MockBackend
+from zsl_kep.pipeline import build_prediction_prompt, run_batch
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
 E2E_CONFIG = str(FIXTURE_DIR / "config.json")
@@ -325,6 +325,52 @@ def test_run_summary_counts_overflows_and_rate_limits(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "truncated runs: 1\n" in err
     assert "failed claims: 0\ngateway overflows: 1\ngateway rate limits: 1\n" in err
+
+
+_KEYPOINTS = "PRIMITIVE:\n1. test point"
+_EVIDENCE = ("EVIDENCE:\nQ1: q?\nA1: a\nTYPE1: Abstractive\nCITE1: 0_0\n\n"
+             "JUSTIFICATION: j\n\nVERDICT: Supported")
+_RATE, _OVER, _TRANSPORT, _MALFORMED = ({"error": kind} for kind in (
+    "rate_limited", "context_overflow", "transport", "malformed"))
+# one claim per script; every entry is used, so a claim's failed gateway
+# attempts are exactly its script's faults, in order
+FAULT_SCRIPTS = [
+    [_KEYPOINTS, _EVIDENCE],
+    [_RATE, _KEYPOINTS, _OVER, _EVIDENCE],  # both calls recover
+    [_OVER, _RATE, _RATE, _EVIDENCE],  # the key points are lost, the prediction recovers
+    [_TRANSPORT, _OVER, _TRANSPORT],  # the prediction fails after a truncation
+    [_KEYPOINTS] + [_RATE] * 5,  # the prediction runs out of attempts
+    [_MALFORMED] + [_OVER] * 7,  # the overflow persists at the minimum caps
+    [_RATE] * 4 + [_KEYPOINTS, _OVER, _RATE, _EVIDENCE],
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_gateway_failures_follow_each_claim_whatever_the_workers(tmp_path, capsys, monkeypatch,
+                                                                 workers):
+    import zsl_kep.cli as cli_mod
+
+    config = _minimal_setup(tmp_path, n_claims=len(FAULT_SCRIPTS),
+                            stores_for=range(len(FAULT_SCRIPTS)),
+                            script={str(cid): s for cid, s in enumerate(FAULT_SCRIPTS)})
+    cfg = json.loads(Path(config).read_text(encoding="utf-8"))
+    cfg["workers"] = workers
+    _write_json(Path(config), cfg)
+    expected = [tuple(e["error"] for e in script if isinstance(e, dict))
+                for script in FAULT_SCRIPTS]
+
+    run_cfg = RunConfig.from_file(config)
+    gateway = Gateway(MockBackend.from_file(run_cfg.mock_script_path), sleep=lambda s: None)
+    reports = list(run_batch(load_claims(run_cfg.claims_path), gateway, run_cfg))
+    assert {r.claim_id: r.gateway_failures for r in reports} == dict(enumerate(expected))
+
+    build = cli_mod.Gateway
+    monkeypatch.setattr(cli_mod, "Gateway", lambda *a, **kw: build(*a, sleep=lambda s: None, **kw))
+    assert main(["run", "--config", config]) == 2
+    summary = capsys.readouterr().err.splitlines()[4:6]
+    kinds = [kind for failures in expected for kind in failures]
+    assert summary == [f"gateway overflows: {kinds.count('context_overflow')}",
+                       f"gateway rate limits: {kinds.count('rate_limited')}"]
 
 
 # Run in a fresh interpreter: claim 0 makes two 3 s gateway calls on a worker

@@ -57,10 +57,12 @@ def test_mock_determinism():
 def test_mock_overflow_then_success():
     backend = MockBackend({0: [{"error": "context_overflow"}, "ok"]})
     gateway = Gateway(backend)
-    with pytest.raises(ContextOverflow):
+    with pytest.raises(ContextOverflow) as overflow:
         gateway.complete(_req(), 0)
-    assert gateway.complete(_req(), 0).text == "ok"
-    assert gateway.overflow_count == 1
+    assert overflow.value.failures == ("context_overflow",)
+    reply = gateway.complete(_req(), 0)
+    assert reply.text == "ok"
+    assert reply.failures == ()  # each call returns its own failures only
 
 
 def test_mock_script_replay_and_exhaustion():
@@ -123,9 +125,10 @@ def test_rate_limit_backoff_then_success():
     backend = MockBackend({0: [{"error": "rate_limited"}, {"error": "rate_limited"}, "done"]})
     sleeps = []
     gateway = Gateway(backend, max_attempts=5, sleep=sleeps.append)
-    assert gateway.complete(_req(), 0).text == "done"
+    reply = gateway.complete(_req(), 0)
+    assert reply.text == "done"
     assert sleeps == [0.5, 1.0]
-    assert gateway.rate_limit_count == 2
+    assert reply.failures == ("rate_limited", "rate_limited")
 
 
 def test_rate_limit_exhausts_attempts():
@@ -136,6 +139,41 @@ def test_rate_limit_exhausts_attempts():
         gateway.complete(_req(), 0)
     assert len(backend.calls_for(0)) == 3
     assert sleeps == [0.5, 1.0]
+
+
+def test_rate_limited_then_transport_raises_with_both_failures():
+    backend = MockBackend({0: [{"error": "rate_limited"}, {"error": "transport"}, "unsent"]})
+    sleeps = []
+    with pytest.raises(TransportFailure) as failure:
+        Gateway(backend, sleep=sleeps.append).complete(_req(), 0)
+    assert failure.value.failures == ("rate_limited", "transport")
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("max_attempts", [1, 3, 5])
+def test_exhausted_retries_give_one_rate_limit_per_attempt(max_attempts):
+    backend = MockBackend({0: [{"error": "rate_limited"}] * 10})
+    with pytest.raises(RateLimited) as failure:
+        Gateway(backend, max_attempts=max_attempts, sleep=lambda s: None).complete(_req(), 0)
+    assert failure.value.failures == ("rate_limited",) * max_attempts
+    assert len(backend.calls_for(0)) == max_attempts
+
+
+def test_budget_overflow_is_one_failure_and_sends_nothing():
+    backend = MockBackend({0: [{"error": "rate_limited"}, "never sent"]})
+    sleeps = []
+    gateway = Gateway(backend, prompt_budget=3, sleep=sleeps.append)
+    with pytest.raises(ContextOverflow, match="exceeds budget 3") as overflow:
+        gateway.complete(_req(system="s", user="one two three"), 0)
+    assert overflow.value.failures == ("context_overflow",)
+    assert backend.requests == [] and sleeps == []
+
+
+def test_failures_default_to_empty():
+    # a reply or an error made outside Gateway.complete has no failed attempts
+    assert ChatResponse("text").failures == ()
+    assert TransportFailure("detail").failures == ()
+    assert MockBackend({0: ["r"]}).send(_req(), 0).failures == ()
 
 
 def test_rate_limit_wait_stops_doubling_at_the_cap():
@@ -150,10 +188,10 @@ def test_rate_limit_wait_stops_doubling_at_the_cap():
 def test_prompt_budget_preempts_call():
     backend = MockBackend({0: ["never sent"]})
     gateway = Gateway(backend, prompt_budget=5)
-    with pytest.raises(ContextOverflow):
+    with pytest.raises(ContextOverflow) as overflow:
         gateway.complete(_req(user="one two three four five six"), 0)
     assert backend.calls_for(0) == []
-    assert gateway.overflow_count == 1
+    assert overflow.value.failures == ("context_overflow",)
     # under budget goes through
     assert gateway.complete(_req(user="short"), 0).text == "never sent"
 

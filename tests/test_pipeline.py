@@ -421,6 +421,19 @@ def test_predict_irrecoverable_failure_degrades():
     assert "socket closed" in report.justification
 
 
+def test_failure_after_truncation_is_still_truncated():
+    store, _ = _truncation_fixture()
+    backend = MockBackend({0: ["PRIMITIVE:\n1. gamma beacon", {"error": "context_overflow"},
+                               {"error": "transport", "detail": "reset"}]})
+    report = run_claim(ClaimRecord(claim_id=0, text="alpha sensor"), store, Gateway(backend),
+                       CFG, LIBRARY)
+    assert report.failed is True
+    assert report.truncated is True  # the failed send went out at the 55/9 caps
+    assert report.justification.endswith("transport: reset")
+    assert report.gateway_failures == ("context_overflow", "transport")
+    assert _doc_counts(backend.calls_for(0)[-1].user_message) == [9, 55]
+
+
 def test_run_claim_end_to_end_with_mock():
     store = make_store([["the comet passed in 1910", "comet tails point away from the sun",
                          "observers recorded the comet"],

@@ -237,6 +237,19 @@ def test_link_conflict_rule_by_hand(hyp, ref, expected):
     assert meteor(hyp, [ref]) == pytest.approx(independent_meteor(hyp, [ref]), abs=1e-12)
 
 
+def test_link_cap_keeps_the_lower_of_two_equidistant_occurrences(monkeypatch):
+    # over the cap each hypothesis bigram keeps only its nearest reference
+    # occurrences: "b a" at hypothesis position 1 has two, at reference positions
+    # 0 and 2, and keeps the lower one. That link, (1, 0), crosses the "a b" link
+    # (0, 1), so the pair aligns in 2 chunks; the upper one would have continued
+    # that link's diagonal to 1 chunk, the optimum found under the cap
+    hyp, ref = "a b a".split(), "b a b a".split()
+    assert scoring._nearest([0, 2], 1, 1) == [0]
+    assert _align(hyp, ref) == (3, 1)
+    monkeypatch.setattr(scoring, "_ALIGN_LINK_CAP", 1)  # the pair has 3 candidate links
+    assert _align(hyp, ref) == (3, 2)
+
+
 def _function_words(n: int) -> tuple[list[str], list[str]]:
     rng = random.Random(1)
     return rng.choices(["the", "of", "a"], k=n), rng.choices(["the", "of", "a"], k=n)
@@ -348,6 +361,13 @@ def test_hungarian_lexicographic_tie_break():
             hungarian_max([[0.0] * cols for _ in range(rows)])
 
 
+def test_hungarian_tie_tolerance_is_one_part_in_a_billion():
+    # 0.5 falls 1e-8 short of the optimum: outside the 1e-9 tolerance, so the
+    # tie-break toward column 0 does not apply, as it would within 1e-6
+    assert hungarian_max([[0.5, 0.5 + 1e-8]]) == [(0, 1)]
+    assert hungarian_max([[0.5, 0.5 + 1e-10]]) == [(0, 0)]
+
+
 def test_hungarian_dominant_permutation():
     matrix = [[10, 0, 0], [0, 10, 0], [0, 0, 10]]
     assert hungarian_max(matrix) == [(0, 0), (1, 1), (2, 2)]
@@ -369,6 +389,24 @@ def test_hungarian_work_is_bounded_on_wide_matrices():
     elapsed = time.process_time() - start
     assert pairs == [(0, 450), (1, 350), (2, 150), (3, 300)]
     assert elapsed < 1.0
+
+
+def test_hungarian_rebuild_is_bounded_on_wide_matrices():
+    # each row's pair lies past most of the 2,000 columns, so the rebuild asks
+    # best about a completion for nearly every column of every row. A column in
+    # no row's top list adds no memo key, so all but a few of those asks are
+    # lookups; a key per column took 1.6 s here. The limit is over 25x the time
+    # measured on a 2-vCPU host under -X dev
+    rng = random.Random(9)
+    matrix = [[rng.uniform(0, 0.5) for _ in range(2000)] for _ in range(MAX_EVIDENCE)]
+    for i, j in enumerate([1950, 1850, 1650, 1550]):
+        matrix[i][j] = 0.9 - 0.1 * i
+        matrix[i][1800] = 1.0
+    start = time.process_time()
+    pairs = hungarian_max(matrix)
+    elapsed = time.process_time() - start
+    assert pairs == [(0, 1950), (1, 1850), (2, 1650), (3, 1800)]
+    assert elapsed < 0.25
 
 
 # ---------------------------------------------------------------- evidence_score
@@ -511,6 +549,17 @@ def test_score_run_gate_blocks_disjoint_evidence():
     assert row.q_plus_a == 0.0
     assert not row.gated_correct
     assert result.aggregate["averitec"] == 0.0
+
+
+def test_score_run_gate_passes_at_exactly_the_threshold(monkeypatch):
+    # the gate holds when q_plus_a reaches GATE_THRESHOLD, equality included
+    monkeypatch.setattr(scoring, "evidence_score", lambda pred, gold: scoring.GATE_THRESHOLD)
+    gold = [_gold(0, VerdictLabel.SUPPORTED, [("q words", ["a words"])])]
+    reports = [_report(0, VerdictLabel.SUPPORTED, [("other", "words")])]
+    result = score_run(reports, gold)
+    assert result.per_claim[0].q_plus_a == 0.25
+    assert result.per_claim[0].gated_correct
+    assert result.aggregate["averitec"] == 1.0
 
 
 def test_score_run_wrong_label_never_gated():
