@@ -239,11 +239,13 @@ def meteor(hypothesis: str, references: list[str]) -> float:
 def hungarian_max(matrix) -> list[tuple[int, int]]:
     """Matching of size min(rows, cols) maximizing the sum of entries.
 
-    Exact memoized search over column subsets, exponential in the rows, so
-    more than MAX_EVIDENCE = 4 rows (predicted strings) raise ValueError; each
-    row tries only its `size` best columns. Ties between optimal matchings
-    (within 1e-9 of the optimum) break toward the lexicographically smallest
-    (row, col) pair sequence.
+    Exact search over column subsets, memoized in one dict per call and
+    exponential in the rows, so more than MAX_EVIDENCE = 4 rows (predicted
+    strings) raise ValueError; each row tries only its `size` best columns,
+    and a matrix with no more columns than `size` tries all of them unsorted.
+    Ties between optimal matchings (within 1e-9 of the optimum) break toward
+    the lexicographically smallest (row, col) pair sequence, which a rebuild
+    pass finds row by row from exact completions.
     """
     matrix = [list(row) for row in matrix]
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
@@ -257,22 +259,33 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
                 raise ValueError(f"matrix entry {value!r} is not finite")
     size = min(n_rows, n_cols)
 
-    # some optimal completion gives row i one of its `size` best columns:
-    # the other size-1 pairs can block at most size-1 of them
-    top = [sorted(range(n_cols), key=row.__getitem__, reverse=True)[:size] for row in matrix]
+    # some optimal completion gives row i one of its `size` best columns: the
+    # other size-1 pairs can block at most size-1 of them. A row with no more
+    # columns keeps them all, and the order it tries them in changes no maximum
+    if n_cols <= size:
+        top = [range(n_cols)] * n_rows
+    else:
+        top = [sorted(range(n_cols), key=row.__getitem__, reverse=True)[:size] for row in matrix]
     reach = set().union(*top)  # best reads no other column of `used`
+    memo = {}
 
-    @functools.cache
     def best(i: int, used: int, left: int) -> float:
         """Best total of `left` more pairs from rows i.. and columns not in `used`."""
         if left == 0:
             return 0.0
         if left > n_rows - i:
             return -math.inf
-        value = best(i + 1, used, left)  # skip row i
-        for j in top[i]:
-            if not used >> j & 1:
-                value = max(value, matrix[i][j] + best(i + 1, used | 1 << j, left - 1))
+        key = i, used, left
+        value = memo.get(key)
+        if value is None:
+            value = best(i + 1, used, left)  # skip row i
+            row = matrix[i]
+            for j in top[i]:
+                if not used >> j & 1:
+                    total = row[j] + best(i + 1, used | 1 << j, left - 1)
+                    if total > value:  # the first maximum, as max() keeps
+                        value = total
+            memo[key] = value
         return value
 
     # each row takes the first free column that still completes an optimum

@@ -103,6 +103,26 @@ def brute_force_assignment(matrix):
     return best_sum, [tuple(p) for p in best_pairs]
 
 
+def tolerant_assignment(matrix):
+    """The lexicographically smallest complete matching of the smaller side
+    whose total reaches best - 1e-9 * max(1, |best|), best being the optimum:
+    the tie rule ``hungarian_max`` states, by enumerating every matching."""
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if n_rows else 0
+    if min(n_rows, n_cols) == 0:
+        return []
+    if n_rows <= n_cols:
+        candidates = [sorted(zip(range(n_rows), perm))
+                      for perm in itertools.permutations(range(n_cols), n_rows)]
+    else:
+        candidates = [sorted(zip(perm, range(n_cols)))
+                      for perm in itertools.permutations(range(n_rows), n_cols)]
+    totals = [sum(matrix[i][j] for i, j in pairs) for pairs in candidates]
+    best = max(totals)
+    cutoff = best - 1e-9 * max(1.0, abs(best))
+    return min(pairs for pairs, total in zip(candidates, totals) if total >= cutoff)
+
+
 def independent_meteor(hypothesis, references):
     """Separate evaluation of the same similarity equations, enumerating every
     maximum token alignment to find the true minimal chunk count."""

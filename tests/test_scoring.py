@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -12,7 +13,8 @@ from zsl_kep.corpus import (MAX_EVIDENCE, AnswerType, ClaimRecord, DocRef, Evide
                             MalformedInput, VerdictLabel, VerdictReport)
 from zsl_kep.scoring import evidence_score, hungarian_max, meteor, score_run
 
-from helpers import brute_force_assignment, chunk_floor, independent_meteor
+from helpers import (brute_force_assignment, chunk_floor, independent_meteor,
+                     tolerant_assignment)
 
 IDENTITY_6 = 1.0 - 0.5 / 216.0  # six-token self match, one chunk
 
@@ -373,17 +375,24 @@ def test_hungarian_dominant_permutation():
     assert hungarian_max(matrix) == [(0, 0), (1, 1), (2, 2)]
 
 
+def _planted(n_cols, own, shared):
+    """4 x n_cols of noise below 0.5; row i holds 0.9 - 0.1 i at own[i], and
+    every row 1.0 at the shared column."""
+    rng = random.Random(9)
+    matrix = [[rng.uniform(0, 0.5) for _ in range(n_cols)] for _ in range(MAX_EVIDENCE)]
+    for i, j in enumerate(own):
+        matrix[i][j] = 0.9 - 0.1 * i
+        matrix[i][shared] = 1.0
+    return matrix
+
+
 def test_hungarian_work_is_bounded_on_wide_matrices():
     # the gold file sets the column count; each row tries only its 4 best
     # columns, so 4 x 500 stays cheap, where a search over every column subset
     # of up to 4 would not end. All rows share their best column, 300, and
     # row 3, whose second best is the worst, takes it. The limit is over 10x
     # the time measured on a 2-vCPU host under -X dev
-    rng = random.Random(9)
-    matrix = [[rng.uniform(0, 0.5) for _ in range(500)] for _ in range(MAX_EVIDENCE)]
-    for i, j in enumerate([450, 350, 150, 50]):
-        matrix[i][j] = 0.9 - 0.1 * i
-        matrix[i][300] = 1.0
+    matrix = _planted(500, [450, 350, 150, 50], 300)
     start = time.process_time()
     pairs = hungarian_max(matrix)
     elapsed = time.process_time() - start
@@ -391,22 +400,69 @@ def test_hungarian_work_is_bounded_on_wide_matrices():
     assert elapsed < 1.0
 
 
+def _wide_ties(*marks):
+    """A 4 x 2,000 matrix of 0.5 but for the given ((row, col), value) entries."""
+    matrix = [[0.5] * 2000 for _ in range(MAX_EVIDENCE)]
+    for (i, j), value in marks:
+        matrix[i][j] = value
+    return matrix
+
+
 def test_hungarian_rebuild_is_bounded_on_wide_matrices():
-    # each row's pair lies past most of the 2,000 columns, so the rebuild asks
-    # best about a completion for nearly every column of every row. A column in
-    # no row's top list adds no memo key, so all but a few of those asks are
-    # lookups; a key per column took 1.6 s here. The limit is over 25x the time
-    # measured on a 2-vCPU host under -X dev
-    rng = random.Random(9)
-    matrix = [[rng.uniform(0, 0.5) for _ in range(2000)] for _ in range(MAX_EVIDENCE)]
-    for i, j in enumerate([1950, 1850, 1650, 1550]):
-        matrix[i][j] = 0.9 - 0.1 * i
-        matrix[i][1800] = 1.0
-    start = time.process_time()
-    pairs = hungarian_max(matrix)
-    elapsed = time.process_time() - start
-    assert pairs == [(0, 1950), (1, 1850), (2, 1650), (3, 1800)]
-    assert elapsed < 0.25
+    # in the planted matrix each row's pair lies past most of the 2,000
+    # columns, so the rebuild asks best about a completion for nearly every
+    # column of every row. A column in no row's top list adds no memo key, so
+    # all but a few of those asks are lookups; a key per column took 1.6 s
+    # here. In the tie matrices every column of every row is within the
+    # tolerance of its row's best, so only exact completions keep the rebuild
+    # from following them; a search over near-tie columns without them took
+    # 1 to 5 s on each. The limit is over 25x the time measured on a 2-vCPU
+    # host under -X dev
+    cases = [
+        (_planted(2000, [1950, 1850, 1650, 1550], 1800),
+         [(0, 1950), (1, 1850), (2, 1650), (3, 1800)]),
+        (_wide_ties(((3, 1), 1.0)), [(0, 0), (1, 2), (2, 3), (3, 1)]),
+        (_wide_ties(((3, 0), 1.0), ((2, 1), 1.0)), [(0, 2), (1, 3), (2, 1), (3, 0)]),
+        (_wide_ties(((3, 0), 1.0), ((1, 1), 1.0), ((2, 0), 1 - 1e-12)),
+         [(0, 2), (1, 1), (2, 0), (3, 3)]),
+    ]
+    for matrix, expected in cases:
+        start = time.process_time()
+        pairs = hungarian_max(matrix)
+        elapsed = time.process_time() - start
+        assert pairs == expected
+        assert elapsed < 0.25
+
+
+def test_hungarian_calls_are_bounded_on_wide_matrices():
+    # the search's states depend on the rows alone, and the rebuild asks for
+    # at most one completion per cell, so the Python calls stay within a small
+    # multiple of the cells: about one per cell here. Without the memo each
+    # ask searches its completion again, at about 30 calls per cell. Calls are
+    # counted, not timed, so the bound does not depend on the host
+    calls = Counter()
+    for matrix in (_planted(500, [450, 350, 150, 50], 300),
+                   _planted(2000, [1950, 1850, 1650, 1550], 1800),
+                   _wide_ties(((3, 0), 1.0), ((1, 1), 1.0), ((2, 0), 1 - 1e-12))):
+        calls.clear()
+        sys.setprofile(lambda frame, event, arg: calls.update((event,)))
+        try:
+            hungarian_max(matrix)
+        finally:
+            sys.setprofile(None)
+        assert calls["call"] <= 10 * len(matrix) * len(matrix[0])
+
+
+def test_hungarian_matches_tolerant_oracle_on_near_ties():
+    # entries from a set whose near-ties lie well inside (1e-10, 1e-12, -0.0)
+    # or well outside (0.25) the 1e-9 tolerance, so each matrix has many
+    # matchings within it, and the oracle names the one the tie rule picks
+    near = [0.0, -0.0, 0.25, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 0.5 + 1e-12, 1.0]
+    rng = random.Random(11)
+    for _ in range(3000):
+        rows, cols = rng.randint(1, MAX_EVIDENCE), rng.randint(1, 7)
+        matrix = [[rng.choice(near) for _ in range(cols)] for _ in range(rows)]
+        assert hungarian_max(matrix) == tolerant_assignment(matrix), matrix
 
 
 # ---------------------------------------------------------------- evidence_score
