@@ -2,16 +2,18 @@
 zero-shot prediction with overflow-truncation retries, and response parsing.
 
 Every claim always ends in a VerdictReport. Parse problems degrade field by
-field, and an irrecoverable gateway failure or a malformed or unreadable
-knowledge store produces a Not Enough Evidence report for that claim alone,
-rather than no report at all. Each stage returns what it degraded, and the
-report carries it: ``truncated``, ``failed``, ``parse_fallbacks`` and
-``gateway_failures`` (key points and prediction together, via ``run_claim``).
+field, and an irrecoverable gateway failure, a malformed or unreadable
+knowledge store or an exception raised while running the claim produces a Not
+Enough Evidence report for that claim alone, rather than no report at all.
+Each stage returns what it degraded, and the report carries it: ``truncated``,
+``failed``, ``parse_fallbacks`` and ``gateway_failures`` (key points and
+prediction together, via ``run_claim``).
 """
 
 import os
 import queue
 import re
+import sys
 import threading
 from collections import namedtuple
 from collections.abc import Iterator
@@ -264,7 +266,13 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg) -> Iterator[VerdictReport
         except (MalformedInput, OSError) as exc:
             return _failure_report(record.claim_id, record.text, [],
                                    KnowledgeStore(record.claim_id), str(exc))
-        return run_claim(record, store, gateway, cfg, library)
+        try:
+            return run_claim(record, store, gateway, cfg, library)
+        except Exception as exc:  # a bug costs its own claim; Ctrl-C still ends the batch
+            import traceback  # only a failing claim pays for it, not every start-up
+            sys.stderr.write(f"claim {record.claim_id}: {traceback.format_exc()}")
+            return _failure_report(record.claim_id, record.text, [], store,
+                                   f"internal error: {type(exc).__name__}: {exc}")
 
     # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
     # for claims still in flight (an HTTP call may take minutes)

@@ -245,7 +245,9 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
     and a matrix with no more columns than `size` tries all of them unsorted.
     Ties between optimal matchings (within 1e-9 of the optimum) break toward
     the lexicographically smallest (row, col) pair sequence, which a rebuild
-    pass finds row by row from exact completions.
+    pass finds row by row from exact completions. A matrix with no non-zero
+    entry, once validated, returns that sequence, the diagonal, without the
+    search.
     """
     matrix = [list(row) for row in matrix]
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
@@ -258,6 +260,8 @@ def hungarian_max(matrix) -> list[tuple[int, int]]:
             if not math.isfinite(value):
                 raise ValueError(f"matrix entry {value!r} is not finite")
     size = min(n_rows, n_cols)
+    if not any(map(any, matrix)):  # every matching totals zero: the rebuild takes the diagonal
+        return [(i, i) for i in range(size)]
 
     # some optimal completion gives row i one of its `size` best columns: the
     # other size-1 pairs can block at most size-1 of them. A row with no more

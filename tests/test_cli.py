@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zsl_kep
+from zsl_kep import pipeline
 from zsl_kep.cli import main
 from zsl_kep.config import RunConfig
 from zsl_kep.corpus import load_claims, load_predictions, load_store
@@ -637,6 +638,38 @@ def test_run_malformed_store_fails_only_its_claim(tmp_path, capsys):
     assert [pred[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
     assert pred[2]["pred_label"] == "Not Enough Evidence"
     assert "'url2text' must be a string array" in pred[2]["justification"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_exception_in_one_claim_fails_only_that_claim(tmp_path, capsys, monkeypatch, workers):
+    cfg = json.loads((FIXTURE_DIR / "config.json").read_text(encoding="utf-8"))
+    for key in ("claims_path", "store_dir", "mock_script_path"):
+        cfg[key] = str(FIXTURE_DIR / cfg[key])
+    cfg["workers"] = workers
+    config = _write_json(tmp_path / "config.json", cfg)
+    good, out = tmp_path / "good.json", tmp_path / "pred.json"
+    assert main(["run", "--config", config, "--output", str(good)]) == 0
+    real_run_claim = pipeline.run_claim
+
+    def run_claim(record, *args):
+        if record.claim_id == 1:
+            raise RuntimeError("bug in claim 1")
+        return real_run_claim(record, *args)
+
+    monkeypatch.setattr(pipeline, "run_claim", run_claim)
+    capsys.readouterr()
+    assert main(["run", "--config", config, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("claim 1: Traceback (most recent call last):\n")
+    assert "RuntimeError: bug in claim 1\n" in err
+    assert "claims processed: 4\n" in err and "failed claims: 1\n" in err
+    pred = json.loads(out.read_text(encoding="utf-8"))
+    expected = json.loads(good.read_text(encoding="utf-8"))
+    assert [row["claim_id"] for row in pred] == [0, 1, 2, 3]
+    assert [json.dumps(pred[i]) for i in (0, 2, 3)] == [json.dumps(expected[i]) for i in (0, 2, 3)]
+    assert pred[1]["pred_label"] == "Not Enough Evidence"
+    assert pred[1]["justification"] == ("No verdict could be generated: "
+                                        "internal error: RuntimeError: bug in claim 1")
 
 
 def test_run_non_string_prediction_reply_fails_only_its_claim(tmp_path, capsys):

@@ -325,3 +325,38 @@ def test_load_predictions_rejects_repeated_claim_id(tmp_path):
     rows = [_prediction_row(0), _prediction_row(1), _prediction_row(0)]
     with pytest.raises(MalformedInput, match="elements 0 and 2 both hold claim_id 0"):
         load_predictions(_write(tmp_path / "pred.json", rows))
+
+
+def test_load_predictions_rejects_one_evidence_item_past_the_cap(tmp_path):
+    rows = [_prediction_row(0, MAX_EVIDENCE + 1)]
+    with pytest.raises(MalformedInput, match="element 0 has 5 evidence items, more than 4"):
+        load_predictions(_write(tmp_path / "pred.json", rows))
+
+
+def test_load_predictions_keys_repeats_by_claim_id_not_by_element(tmp_path):
+    # claim ids that equal other elements' positions are no repeat
+    rows = [_prediction_row(1), _prediction_row(0)]
+    assert [r.claim_id for r in load_predictions(_write(tmp_path / "ok.json", rows))] == [1, 0]
+    rows = [_prediction_row(7), _prediction_row(3), _prediction_row(7)]
+    with pytest.raises(MalformedInput, match="elements 0 and 2 both hold claim_id 7"):
+        load_predictions(_write(tmp_path / "pred.json", rows))
+
+
+def test_load_predictions_rejects_a_repeat_before_the_last_element(tmp_path):
+    rows = [_prediction_row(0), _prediction_row(0), _prediction_row(1)]
+    with pytest.raises(MalformedInput, match="elements 0 and 1 both hold claim_id 0"):
+        load_predictions(_write(tmp_path / "pred.json", rows))
+
+
+def test_load_predictions_justification_may_be_absent(tmp_path):
+    row = _prediction_row(0)
+    del row["justification"]
+    assert load_predictions(_write(tmp_path / "pred.json", [row]))[0].justification == ""
+
+
+def test_load_predictions_rejects_a_justification_that_is_not_a_string(tmp_path):
+    row = _prediction_row(0)
+    row["justification"] = 7
+    with pytest.raises(MalformedInput,
+                       match=r"element 0 is malformed \(justification is int, not str\)"):
+        load_predictions(_write(tmp_path / "pred.json", [row]))

@@ -39,7 +39,8 @@ def test_cli_import_loads_no_http_stack():
 
 def test_cli_import_loads_no_dataclasses():
     """Records are namedtuples and plain classes, so start-up pays neither for
-    ``dataclasses`` nor for the ``inspect`` it imports."""
+    ``dataclasses`` nor for the ``inspect`` it imports; nor for ``traceback``,
+    which only a claim that raises needs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(zsl_kep.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -48,4 +49,4 @@ def test_cli_import_loads_no_dataclasses():
     loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                             capture_output=True, text=True, timeout=60).stdout.split()
     assert "zsl_kep.cli" in loaded
-    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    assert {"dataclasses", "inspect", "traceback"}.isdisjoint(loaded)

@@ -624,6 +624,7 @@ def test_run_batch_yields_each_report_as_its_claim_finishes(tmp_path):
 
 
 def test_run_batch_raises_a_worker_error(tmp_path):
+    # an exception that is no Exception, Ctrl-C in a worker among them, ends the batch
     store_dir = tmp_path / "stores"
     store_dir.mkdir()
     for cid in (0, 1, 2):
@@ -633,7 +634,8 @@ def test_run_batch_raises_a_worker_error(tmp_path):
 
     class _Gateway:
         def complete(self, request, claim_id=None):
-            raise RuntimeError(f"bug in claim {claim_id}")
+            raise KeyboardInterrupt(f"stop in claim {claim_id}")
 
-    with pytest.raises(RuntimeError, match="bug in claim"):
+    with pytest.raises(KeyboardInterrupt, match="stop in claim"):
         list(run_batch(claims, _Gateway(), RunConfig(store_dir=str(store_dir), workers=2)))
+

@@ -434,23 +434,79 @@ def test_hungarian_rebuild_is_bounded_on_wide_matrices():
         assert elapsed < 0.25
 
 
+def _python_calls(matrix):
+    """hungarian_max's pairs for `matrix`, and the Python calls it made, counted
+    by function name. Calls are counted, not timed, so a bound on them does not
+    depend on the host."""
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        pairs = hungarian_max(matrix)
+    finally:
+        sys.setprofile(None)
+    return pairs, calls
+
+
 def test_hungarian_calls_are_bounded_on_wide_matrices():
     # the search's states depend on the rows alone, and the rebuild asks for
     # at most one completion per cell, so the Python calls stay within a small
     # multiple of the cells: about one per cell here. Without the memo each
-    # ask searches its completion again, at about 30 calls per cell. Calls are
-    # counted, not timed, so the bound does not depend on the host
-    calls = Counter()
+    # ask searches its completion again, at about 30 calls per cell
     for matrix in (_planted(500, [450, 350, 150, 50], 300),
                    _planted(2000, [1950, 1850, 1650, 1550], 1800),
                    _wide_ties(((3, 0), 1.0), ((1, 1), 1.0), ((2, 0), 1 - 1e-12))):
-        calls.clear()
-        sys.setprofile(lambda frame, event, arg: calls.update((event,)))
-        try:
+        _, calls = _python_calls(matrix)
+        assert sum(calls.values()) <= 10 * len(matrix) * len(matrix[0])
+
+
+def test_hungarian_zero_matrix_takes_the_diagonal():
+    # every matching of a matrix of zeros totals 0.0, so all are ties and the
+    # lexicographically smallest, the diagonal, wins; -0.0 is a zero too
+    rng = random.Random(13)
+    for rows in range(MAX_EVIDENCE + 1):
+        for cols in range(8):
+            for _ in range(5):
+                matrix = [[rng.choice((0.0, -0.0)) for _ in range(cols)] for _ in range(rows)]
+                expected = [(i, i) for i in range(min(rows, cols))]
+                assert hungarian_max(matrix) == expected == tolerant_assignment(matrix), matrix
+
+
+def test_hungarian_zero_matrix_is_validated_first():
+    for bad in (math.nan, math.inf, -math.inf):
+        matrix = [[0.0] * 3 for _ in range(2)]
+        matrix[1][2] = bad
+        with pytest.raises(ValueError, match=f"matrix entry {bad!r} is not finite"):
             hungarian_max(matrix)
-        finally:
-            sys.setprofile(None)
-        assert calls["call"] <= 10 * len(matrix) * len(matrix[0])
+    with pytest.raises(ValueError, match="^5 predicted strings, more than 4$"):
+        hungarian_max([[0.0] * 3 for _ in range(MAX_EVIDENCE + 1)])
+    with pytest.raises(ValueError, match="same length"):
+        hungarian_max([[0.0, 0.0], [0.0]])
+
+
+def test_hungarian_any_non_zero_entry_takes_the_search():
+    # the smallest subnormal is not zero, however little it weighs
+    matrix = [[0.0] * 5 for _ in range(3)]
+    matrix[2][1] = 5e-324
+    pairs, calls = _python_calls(matrix)
+    assert pairs == tolerant_assignment(matrix)
+    assert calls["best"] > 0
+    # entries below the tie tolerance still decide: the diagonal totals
+    # -1.8e-9, more than 1e-9 short of the other matching's 0
+    matrix = [[-9e-10, 0.0], [0.0, -9e-10]]
+    assert hungarian_max(matrix) == [(0, 1), (1, 0)] == tolerant_assignment(matrix)
+
+
+def test_hungarian_zero_matrix_makes_no_search_call():
+    matrix = [[0.0] * 2000 for _ in range(MAX_EVIDENCE)]
+    matrix[2][7] = -0.0
+    pairs, calls = _python_calls(matrix)
+    assert pairs == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert calls["best"] == 0
 
 
 def test_hungarian_matches_tolerant_oracle_on_near_ties():
