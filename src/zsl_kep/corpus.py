@@ -110,14 +110,14 @@ VerdictReport = namedtuple("VerdictReport", "claim_id claim evidence justificati
 
 
 def read_json(path):
-    """Parse one JSON file; invalid JSON or non-UTF-8 bytes raise MalformedInput."""
+    """Parse one JSON file; non-UTF-8 bytes, or JSON the decoder refuses, raise MalformedInput."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_json(path, data) -> None:
@@ -198,7 +198,7 @@ def load_store(path, claim_id: int) -> KnowledgeStore:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise MalformedInput(f"{path}: line {line_no} is not valid JSON") from exc
                 if not isinstance(row, dict) or "url" not in row or "url2text" not in row:
                     raise MalformedInput(f"{path}: line {line_no} needs 'url' and 'url2text'")

@@ -271,7 +271,7 @@ class HttpBackend:
             data = json.loads(body)
             choice = data["choices"][0]
             text = choice["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise MalformedReply(f"unexpected response shape: {exc}") from exc
         finish = "length" if choice.get("finish_reason") == "length" else "stop"
         return ChatResponse(text="" if text is None else text, finish_reason=finish)

@@ -261,18 +261,17 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg) -> Iterator[VerdictReport
     library = PromptLibrary.load(cfg.prompt_overrides)
 
     def work(record: ClaimRecord) -> VerdictReport:
+        store = KnowledgeStore(record.claim_id)
         try:
             store = load_store(store_path_for(cfg.store_dir, record.claim_id), record.claim_id)
-        except (MalformedInput, OSError) as exc:
-            return _failure_report(record.claim_id, record.text, [],
-                                   KnowledgeStore(record.claim_id), str(exc))
-        try:
             return run_claim(record, store, gateway, cfg, library)
+        except (MalformedInput, OSError) as exc:  # a bad or unreadable store
+            detail = str(exc)
         except Exception as exc:  # a bug costs its own claim; Ctrl-C still ends the batch
             import traceback  # only a failing claim pays for it, not every start-up
             sys.stderr.write(f"claim {record.claim_id}: {traceback.format_exc()}")
-            return _failure_report(record.claim_id, record.text, [], store,
-                                   f"internal error: {type(exc).__name__}: {exc}")
+            detail = f"internal error: {type(exc).__name__}: {exc}"
+        return _failure_report(record.claim_id, record.text, [], store, detail)
 
     # daemon threads, not a pool: after Ctrl-C the interpreter must not wait
     # for claims still in flight (an HTTP call may take minutes)
@@ -282,25 +281,22 @@ def run_batch(claims: list[ClaimRecord], gateway, cfg) -> Iterator[VerdictReport
     finished: queue.SimpleQueue = queue.SimpleQueue()
     stop = threading.Event()
 
-    def worker() -> None:
-        while not stop.is_set():
-            try:
-                record = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                finished.put((work(record), None))
-            except BaseException as exc:
-                finished.put((None, exc))
-                return
+    def worker() -> None:  # work raises no Exception, so what it raises ends the batch
+        try:
+            while not stop.is_set():
+                finished.put(work(todo.get_nowait()))
+        except queue.Empty:
+            pass
+        except BaseException as exc:
+            finished.put(exc)
 
     for _ in range(min(cfg.workers, len(claims))):
         threading.Thread(target=worker, daemon=True).start()
     try:
         for _ in claims:
-            report, exc = finished.get()
-            if exc is not None:
-                raise exc
+            report = finished.get()
+            if isinstance(report, BaseException):
+                raise report
             yield report
     finally:
         stop.set()  # claims not yet started are dropped, those in flight abandoned

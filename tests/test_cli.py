@@ -795,3 +795,79 @@ def test_run_latin1_claims_file_exits_1(tmp_path, capsys):
     assert "error:" in err and "claims.json: not UTF-8 text" in err
     assert not (tmp_path / "pred.json").exists()
 
+
+
+# JSON the decoder refuses without a JSONDecodeError: nesting past the recursion
+# limit raises RecursionError, and more digits than int() takes a plain ValueError
+UNDECODABLE = {"deep": "[" * 100_000, "long_int": '{"n": ' + "9" * 5000 + "}"}
+
+
+def _e2e_reports(fixture, workers):
+    """run_batch's reports on a copy of the e2e fixture, sorted by claim id."""
+    cfg = RunConfig.from_file(str(fixture / "config.json"))
+    cfg.workers = workers
+    gateway = Gateway(MockBackend.from_file(cfg.mock_script_path),
+                      max_attempts=cfg.max_attempts, prompt_budget=cfg.prompt_budget)
+    return sorted(run_batch(load_claims(cfg.claims_path), gateway, cfg),
+                  key=lambda r: r.claim_id)
+
+
+@pytest.mark.parametrize("payload", sorted(UNDECODABLE))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_undecodable_store_line_fails_only_its_claim(tmp_path, payload, workers):
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    expected = _e2e_reports(fixture, workers)
+    (fixture / "stores" / "1.json").write_text(UNDECODABLE[payload] + "\n", encoding="utf-8")
+
+    reports = _e2e_reports(fixture, workers)
+    assert [r.claim_id for r in reports] == [0, 1, 2, 3]
+    assert [reports[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+    assert reports[1].failed and reports[1].verdict.value == "Not Enough Evidence"
+    assert reports[1].justification == ("No verdict could be generated: "
+                                        f"{fixture / 'stores' / '1.json'}: line 1 is not valid JSON")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_exception_in_a_store_load_fails_only_its_claim(tmp_path, capsys, monkeypatch,
+                                                                  workers):
+    expected = _e2e_reports(FIXTURE_DIR, workers)
+    real_load_store = pipeline.load_store
+
+    def load_store(path, claim_id):
+        if claim_id == 1:
+            raise RuntimeError("bug in store 1")
+        return real_load_store(path, claim_id)
+
+    monkeypatch.setattr(pipeline, "load_store", load_store)
+    capsys.readouterr()
+    reports = _e2e_reports(FIXTURE_DIR, workers)
+    err = capsys.readouterr().err
+    assert err.startswith("claim 1: Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: bug in store 1\n")
+    assert [reports[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+    assert reports[1].failed
+    assert reports[1].justification == ("No verdict could be generated: "
+                                        "internal error: RuntimeError: bug in store 1")
+
+
+@pytest.mark.parametrize("payload", sorted(UNDECODABLE))
+@pytest.mark.parametrize("name", ["config.json", "claims.json", "mock_script.json",
+                                  "predictions.json"])
+def test_undecodable_input_file_exits_1_with_one_error_line(tmp_path, capsys, name, payload):
+    fixture = tmp_path / "e2e"
+    shutil.copytree(FIXTURE_DIR, fixture)
+    (fixture / name).write_text(UNDECODABLE[payload], encoding="utf-8")
+    if name == "predictions.json":
+        argv = ["score", "--pred", str(fixture / name), "--gold", str(fixture / "claims.json")]
+    else:
+        argv = ["run", "--config", str(fixture / "config.json"),
+                "--output", str(tmp_path / "pred.json")]
+    capsys.readouterr()
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {fixture / name}: not valid JSON (")
+    assert "Traceback" not in err
+    assert not (tmp_path / "pred.json").exists()

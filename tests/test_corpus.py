@@ -360,3 +360,12 @@ def test_load_predictions_rejects_a_justification_that_is_not_a_string(tmp_path)
     with pytest.raises(MalformedInput,
                        match=r"element 0 is malformed \(justification is int, not str\)"):
         load_predictions(_write(tmp_path / "pred.json", [row]))
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"n": ' + "9" * 5000 + "}"])
+def test_load_store_undecodable_line_names_line(tmp_path, line):
+    # RecursionError and the over-long-integer ValueError are no JSONDecodeError
+    path = tmp_path / "0.json"
+    path.write_text('{"url": "u0", "url2text": ["a"]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match="line 2 is not valid JSON"):
+        load_store(path, 0)

@@ -249,6 +249,16 @@ def test_http_api_key_from_env(monkeypatch):
     assert captured["auth"] == "Bearer env-secret"
 
 
+def test_http_deeply_nested_reply_is_malformed():
+    # the decoder raises RecursionError, not a ValueError, on nesting this deep
+    def transport(request, timeout=None):
+        return _stub(200, text="[" * 100_000)
+
+    with pytest.raises(MalformedReply) as malformed:
+        Gateway(_http(transport)).complete(_req(), 0)
+    assert malformed.value.failures == ("malformed",)
+
+
 def test_http_error_mapping():
     def quota(request, **kw):
         return _stub(429, text="Rate limit reached for requests, try again soon")
