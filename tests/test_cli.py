@@ -520,6 +520,14 @@ def test_score_refuses_a_report_that_names_an_input(tmp_path, capsys, monkeypatc
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
+def test_score_empty_pred_path_names_no_input(tmp_path, capsys, monkeypatch):
+    # "" resolves to the working directory, but names no file, so no report path matches it
+    monkeypatch.chdir(tmp_path)
+    assert main(["score", "--pred", "", "--gold", str(FIXTURE_DIR / "claims.json"),
+                 "--report", "."]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_score_missing_gold_field(tmp_path, capsys):
     out = tmp_path / "pred.json"
     main(["run", "--config", E2E_CONFIG, "--output", str(out)])
@@ -552,8 +560,9 @@ def test_score_rejects_malformed_predictions(tmp_path, capsys, fault):
 
 
 def test_inspect_unknown_claim(capsys):
-    assert main(["inspect", "--config", E2E_CONFIG, "--claim", "42"]) == 1
-    assert "unknown claim id" in capsys.readouterr().err
+    for claim in ("42", "4", "-1"):  # the fixture holds claims 0-3
+        assert main(["inspect", "--config", E2E_CONFIG, "--claim", claim]) == 1
+        assert capsys.readouterr().err == f"error: unknown claim id {claim} (file has 4 claims)\n"
 
 
 def test_inspect_missing_store_names_path(tmp_path, capsys):
@@ -599,6 +608,17 @@ def test_inspect_no_llm(capsys):
     assert "keypoint prompt" in out
     assert "groups: 1" in out
     assert "kind=claim cap=70" in out
+
+
+def test_inspect_no_llm_needs_no_backend(tmp_path, capsys):
+    cfg = json.loads((FIXTURE_DIR / "config.json").read_text(encoding="utf-8"))
+    for key in ("claims_path", "store_dir", "mock_script_path"):
+        cfg[key] = str(FIXTURE_DIR / cfg[key])
+    config = _write_json(tmp_path / "config.json", {**cfg, "backend": "http"})
+    assert main(["inspect", "--config", config, "--claim", "0", "--no-llm"]) == 0
+    assert "groups: 1" in capsys.readouterr().out
+    assert main(["inspect", "--config", config, "--claim", "0"]) == 1
+    assert "backend=http requires base_url and model_name" in capsys.readouterr().err
 
 
 def test_inspect_retrieves_once_per_group(capsys, monkeypatch):

@@ -99,7 +99,11 @@ def test_load_claims_bad_gold_answer_rejected(tmp_path, answers, message):
     (["a"], "element 0 has no 'claim' field"),
     ([{"claim": "a", "label": "Refuted", "questions": {"question": "q?"}}],
      "element 0 'questions' must be an array"),
-], ids=["not_array", "no_claim", "row_not_object", "questions_not_array"])
+    ([{"claim": " \t\n"}], "element 0 has an empty claim"),
+    ([{"claim": 5}], "element 0 has an empty claim"),
+    ([{"claim": "a", "questions": []}], "element 0 must carry both 'label' and 'questions'"),
+], ids=["not_array", "no_claim", "row_not_object", "questions_not_array", "blank_claim",
+        "claim_not_string", "questions_without_label"])
 def test_load_claims_wrongly_shaped_file_rejected(tmp_path, payload, message):
     with pytest.raises(MalformedInput, match=message):
         load_claims(_write(tmp_path / "claims.json", payload))
@@ -139,6 +143,18 @@ def test_load_store_non_string_url_names_line(tmp_path, url):
     path.write_text('{"url": "u0", "url2text": ["a"]}\n'
                     + json.dumps({"url": url, "url2text": ["b"]}) + "\n", encoding="utf-8")
     with pytest.raises(MalformedInput, match="line 2 'url' must be a string"):
+        load_store(path, 0)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('["url", "url2text"]', "line 2 needs 'url' and 'url2text'"),
+    ("5", "line 2 needs 'url' and 'url2text'"),
+    ('{"url": "u1", "url2text": "b"}', "line 2 'url2text' must be a string array"),
+], ids=["array", "number", "url2text_string"])
+def test_load_store_wrongly_shaped_line_names_line(tmp_path, line, message):
+    path = tmp_path / "0.json"
+    path.write_text('{"url": "u0", "url2text": ["a"]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match=message):
         load_store(path, 0)
 
 
@@ -250,6 +266,20 @@ def test_write_predictions_failing_partway_keeps_the_old_file(tmp_path):
         write_predictions(path, [long, broken])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["pred.json"]
+
+
+def test_write_predictions_interrupted_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the temp file is written beside the target, and Ctrl-C removes it too
+    path = tmp_path / "pred.json"
+
+    def replace(src, dst):
+        assert os.path.dirname(src) == str(tmp_path) and os.path.exists(src)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        write_predictions(path, [_report(0, VerdictLabel.SUPPORTED, [])])
+    assert os.listdir(tmp_path) == []
 
 
 def test_predictions_round_trip(tmp_path):

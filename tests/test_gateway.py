@@ -410,6 +410,40 @@ def test_http_reply_body_is_read_up_to_the_cap(chat_server, monkeypatch):
     assert chat_server.replies == []
 
 
+class _Trickle(io.BytesIO):
+    """A 200 reply whose ``read1`` returns at most ``step`` bytes a call."""
+
+    status = 200
+
+    def __init__(self, body, step):
+        super().__init__(body)
+        self.step, self.consumed = step, 0
+
+    def read1(self, size=-1):
+        chunk = super().read1(self.step if size < 0 else min(size, self.step))
+        self.consumed += len(chunk)
+        return chunk
+
+
+@pytest.mark.parametrize("step", [1, 7, 1 << 20])
+def test_http_reply_is_read_one_byte_past_the_cap_and_no_further(monkeypatch, step):
+    reply = json.dumps({"choices": [{"message": {"content": "served"}}]}).encode("utf-8")
+    monkeypatch.setattr(llm_gateway, "MAX_REPLY_BYTES", len(reply))
+    resp = _Trickle(reply + b" " * 1000, step)
+    with pytest.raises(MalformedReply, match=f"longer than {len(reply)} bytes"):
+        _http(lambda request, timeout=None: resp).send(_req())
+    assert resp.consumed == len(reply) + 1
+
+
+def test_http_reply_cap_is_4_mib():
+    reply = json.dumps({"choices": [{"message": {"content": "served"}}]})
+    at_cap = reply.ljust(4 << 20)
+    send = _http(lambda request, timeout=None: _stub(200, text=at_cap)).send
+    assert send(_req()).text == "served"
+    with pytest.raises(MalformedReply, match="longer than 4194304 bytes"):
+        _http(lambda request, timeout=None: _stub(200, text=at_cap + " ")).send(_req())
+
+
 class _DripHandler(http.server.BaseHTTPRequestHandler):
     """Answers a POST with a 200 whose 70-byte body arrives one byte every 50 ms."""
 

@@ -64,6 +64,11 @@ def test_parse_tolerates_noise_and_paren_numbering():
     assert kps.combined == ["both"]
 
 
+def test_parse_strips_lines_and_skips_items_before_a_header():
+    kps = parse_keypoints("1. stray\n  PRIMITIVE:\n\t10. p\n  COMBINED:\n   1) c  ")
+    assert (kps.primitives, kps.combined) == (["p"], ["c"])
+
+
 def test_parse_failure_on_free_text():
     assert parse_keypoints("no structure at all, just prose").n == 0
     assert parse_keypoints("COMBINED:\n1. only combined without primitives").n == 0
