@@ -816,7 +816,6 @@ def test_run_latin1_claims_file_exits_1(tmp_path, capsys):
     assert not (tmp_path / "pred.json").exists()
 
 
-
 # JSON the decoder refuses without a JSONDecodeError: nesting past the recursion
 # limit raises RecursionError, and more digits than int() takes a plain ValueError
 UNDECODABLE = {"deep": "[" * 100_000, "long_int": '{"n": ' + "9" * 5000 + "}"}
@@ -844,13 +843,13 @@ def test_run_batch_undecodable_store_line_fails_only_its_claim(tmp_path, payload
     assert [r.claim_id for r in reports] == [0, 1, 2, 3]
     assert [reports[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
     assert reports[1].failed and reports[1].verdict.value == "Not Enough Evidence"
-    assert reports[1].justification == ("No verdict could be generated: "
-                                        f"{fixture / 'stores' / '1.json'}: line 1 is not valid JSON")
+    store = fixture / "stores" / "1.json"
+    assert reports[1].justification == (f"No verdict could be generated: {store}: "
+                                        "line 1 is not valid JSON")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_batch_exception_in_a_store_load_fails_only_its_claim(tmp_path, capsys, monkeypatch,
-                                                                  workers):
+def test_run_batch_exception_in_a_store_load_fails_only_its_claim(capsys, monkeypatch, workers):
     expected = _e2e_reports(FIXTURE_DIR, workers)
     real_load_store = pipeline.load_store
 
